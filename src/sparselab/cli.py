@@ -30,8 +30,8 @@ from .oracles import (HostGraph, adversary_colouring, adversary_free_subset,
                       ramsey_multiplicity, supersaturation_count,
                       varnavides_count)
 from .sample import sample_ensemble, sample_subset, stable_hash
-from .systems import (PatternHypergraph, build_system, pair_profile,
-                      verify_homogeneity, verify_two_dof)
+from .systems import (EnumerationGuardError, PatternHypergraph, build_system,
+                      pair_profile, verify_homogeneity, verify_two_dof)
 from .transfer import build_family, solve_dense_model, verify_counting_lemma
 from .verify import check_conditions, check_properties
 
@@ -511,7 +511,8 @@ def main(argv=None):
         _emit(json.dumps(report, indent=2, sort_keys=True, default=str),
               args.out)
         return 0 if ok else 1
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, FileNotFoundError, json.JSONDecodeError,
+            EnumerationGuardError) as exc:
         print(json.dumps({"error": str(exc), "code": 2}), file=_sys.stderr)
         return 2
 

@@ -10,24 +10,25 @@ position order).  The capped convolution truncates pointwise at the fixed
 cap 2.  The counting functional is E_{s in S} f(s_1)...f(s_k), which by
 adjointness equals <f, conv_1(f,..,f)>.
 
+Fiber averages come from one chunked gather engine: a block of points
+becomes the index block of their fibers (SequenceSystem.fiber_blocks), the
+k-1 argument arrays are gathered from it, multiplied and reduced per point.
+
 Counting supports three evaluation modes:
 
-  exact    -- enumerate S fiber by fiber (guarded);
+  exact    -- the gather engine: sum_x f(x) times the fiber sum of
+              conv_1(f,..,f) at x, over the support of f (guarded by |S|);
   support  -- enumerate only tuples through the support of f: ordered support
-              pairs at two determining positions for two-degrees-of-freedom
-              systems, vertex-restricted injection backtracking for copy
-              systems;
+              pairs completed in bulk where the system can (ap), the gather
+              engine for the other two-degrees-of-freedom systems,
+              vertex-restricted injection backtracking for copy systems;
   mc       -- sampled tuples, with a reported standard error.
-
-Monte Carlo caveat: capping an estimated convolution is biased relative to
-capping the true value; sampled modes report their standard error and are
-meant for regimes where the fiber estimate is already tight.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,8 +55,6 @@ class ConvolutionResult:
     j: int
     at: object            # None for all of X, else int64 array of x indices
     values: np.ndarray
-    mode: str
-    stderr: object = None  # per-point standard errors for mc fibers
 
     def function(self, domain) -> WeightFunction:
         if self.at is not None:
@@ -66,33 +65,46 @@ class ConvolutionResult:
         return float(np.max(self.values)) if self.values.size else 0.0
 
 
-def _fiber_products(sys, j, arrs, x, samples=0, seed=0):
-    """(mean, stderr, fiber_rows) of prod_{i != j} h_i(s_i) over S_j(x)."""
-    if samples:
-        mat = sys.sample_fiber(j, x, samples, seed)
-    else:
-        mat = sys.fiber_matrix(j, x)
-    if mat.shape[0] == 0:
-        return 0.0, 0.0, 0
-    prod = np.ones(mat.shape[0])
-    pos = 0
-    for i in range(1, sys.k + 1):
-        if i == j:
+def _fiber_sums(sys, j, arrs, points):
+    """(sums, counts): sum over S_j(x) of prod_{i != j} arrs(s_i), and
+    |S_j(x)|, for each x in points.
+
+    sums / counts reproduces a per-fiber prod.mean() bit for bit on
+    equal-size fibers: each row of the block is reduced as one contiguous
+    run, exactly as a single fiber would be."""
+    doubled = [np.concatenate([a, a]) for a in arrs]
+    sums = np.empty(points.size)
+    counts = np.empty(points.size, dtype=np.int64)
+    for lo, cols, cnt in sys.fiber_blocks(j, points):
+        hi = lo + cnt.size
+        counts[lo:hi] = cnt
+        if not cols:        # k = 1: the empty product on every fiber row
+            sums[lo:hi] = cnt
             continue
-        prod *= arrs[pos][mat[:, i - 1]]
-        pos += 1
-    mean = float(prod.mean())
-    err = float(prod.std(ddof=1) / math.sqrt(prod.size)) if samples and prod.size > 1 else 0.0
-    return mean, err, mat.shape[0]
+        prod = doubled[0][cols[0]]
+        for a, c in zip(doubled[1:], cols[1:]):
+            prod *= a[c]
+        if prod.ndim == 2:
+            sums[lo:hi] = prod.sum(axis=1)
+        else:
+            owner = np.repeat(np.arange(cnt.size), cnt)
+            sums[lo:hi] = np.bincount(owner, weights=prod,
+                                      minlength=cnt.size)
+    return sums, counts
 
 
-def convolve(sys: SequenceSystem, j: int, funcs, mode="exact", xs=None,
-             fiber_samples=0, seed=0, guard=ENUM_GUARD) -> ConvolutionResult:
+def _fiber_means(sys, j, arrs, points):
+    sums, counts = _fiber_sums(sys, j, arrs, points)
+    return np.divide(sums, counts, out=np.zeros(points.size),
+                     where=counts > 0)
+
+
+def convolve(sys: SequenceSystem, j: int, funcs, xs=None,
+             guard=ENUM_GUARD) -> ConvolutionResult:
     """conv_j of k-1 functions (increasing position order, position j skipped).
 
-    mode "exact" enumerates each requested fiber; mode "mc" samples
-    fiber_samples tuples per point and reports a per-point standard error.
-    xs=None evaluates at every x (guarded), else only at the given indices.
+    xs=None evaluates at every x (guarded), else only at the given indices
+    (repeats allowed).
     """
     if not 1 <= j <= sys.k:
         raise ValueError(f"position j={j} out of range 1..{sys.k}")
@@ -100,39 +112,24 @@ def convolve(sys: SequenceSystem, j: int, funcs, mode="exact", xs=None,
     X = sys.ground.size
     if xs is None:
         points = np.arange(X)
-        if mode == "exact" and X * max(sys.fiber_size(j), 1) > guard:
+        if X * max(sys.fiber_size(j), 1) > guard:
             raise EnumerationGuardError(
                 f"full exact convolution needs {X * sys.fiber_size(j)} rows; "
-                "pass xs= or use mode='mc'")
+                "pass xs=")
     else:
-        points = np.asarray(xs, dtype=np.int64)
-    if mode == "exact":
-        fiber_samples = 0
-    elif mode != "mc":
-        raise ValueError(f"unknown mode {mode!r}")
-    elif fiber_samples <= 0:
-        raise ValueError("mode='mc' needs fiber_samples > 0")
-    vals = np.empty(points.size)
-    errs = np.zeros(points.size) if fiber_samples else None
-    for t, x in enumerate(points):
-        m, e, _ = _fiber_products(sys, j, arrs, int(x), fiber_samples,
-                                  seed + 31 * t)
-        vals[t] = m
-        if fiber_samples:
-            errs[t] = e
-    return ConvolutionResult(j, None if xs is None else points, vals,
-                             mode, errs)
+        points = np.asarray(xs, dtype=np.int64).reshape(-1)
+        if points.size and (points.min() < 0 or points.max() >= X):
+            raise ValueError("convolution points out of range")
+    return ConvolutionResult(j, None if xs is None else points,
+                             _fiber_means(sys, j, arrs, points))
 
 
-def capped_convolve(sys, j, funcs, mode="exact", xs=None, fiber_samples=0,
-                    seed=0, guard=ENUM_GUARD) -> ConvolutionResult:
+def capped_convolve(sys, j, funcs, xs=None,
+                    guard=ENUM_GUARD) -> ConvolutionResult:
     """min(conv_j, 2); arguments must be non-negative."""
-    for f in funcs:
-        low = (min(f.sparse_items().values(), default=0.0) if f.is_sparse
-               else float(f.dense().min()))
-        if low < 0:
-            raise ValueError("capped convolution needs non-negative arguments")
-    res = convolve(sys, j, funcs, mode, xs, fiber_samples, seed, guard)
+    if any(f.dense().min() < 0 for f in funcs):
+        raise ValueError("capped convolution needs non-negative arguments")
+    res = convolve(sys, j, funcs, xs, guard)
     res.values = np.minimum(res.values, CAP)
     return res
 
@@ -159,19 +156,7 @@ def count_functional(sys: SequenceSystem, f: WeightFunction, mode="auto",
         if sys.size * sys.k > guard:
             raise EnumerationGuardError(
                 f"exact count needs {sys.size * sys.k} evaluations")
-        arr = f.dense()
-        total = 0.0
-        count = 0
-        for x in range(sys.ground.size):
-            mat = sys.fiber_matrix(1, x)
-            if mat.shape[0] == 0:
-                continue
-            prod = arr[mat[:, 0]].copy()
-            for i in range(1, sys.k):
-                prod *= arr[mat[:, i]]
-            total += float(prod.sum())
-            count += mat.shape[0]
-        return total / sys.size, 0.0
+        return _gather_count(sys, f.dense(), f.support_indices()), 0.0
     if mode == "support":
         return _support_count(sys, f, guard), 0.0
     if mode == "mc":
@@ -179,6 +164,13 @@ def count_functional(sys: SequenceSystem, f: WeightFunction, mode="auto",
             raise ValueError("mode='mc' needs samples > 0")
         return _mc_count(sys, f, samples, seed)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _gather_count(sys, arr, points):
+    """The count of f = arr by adjointness: sum over x in points (the
+    support of f) of f(x) times the fiber sum of conv_1(f,..,f) at x."""
+    sums, _ = _fiber_sums(sys, 1, [arr] * (sys.k - 1), points)
+    return float(np.dot(arr[points], sums)) / sys.size
 
 
 def _support_count(sys, f, guard):
@@ -193,30 +185,15 @@ def _support_count(sys, f, guard):
         raise EnumerationGuardError(
             f"support enumeration needs {supp.size ** 2 * sys.k} completions")
     arr = f.dense()
-    # fast vectorized path when the system can complete pairs in bulk
-    bulk = getattr(sys, "complete_pairs_bulk", None)
-    if bulk is not None:
-        total = 0.0
-        for a in supp:
-            mats, valid = bulk(1, 2, int(a), supp)
-            if mats.shape[0] == 0:
-                continue
-            prod = arr[mats[:, 0]].copy()
-            for i in range(1, sys.k):
-                prod *= arr[mats[:, i]]
-            total += float(prod.sum())
-        return total / sys.size
+    if not hasattr(sys, "complete_pairs_bulk"):
+        return _gather_count(sys, arr, supp)
     total = 0.0
     for a in supp:
-        fa = arr[a]
-        for b in supp:
-            s = sys.complete_pair(1, 2, int(a), int(b))
-            if s is None:
-                continue
-            prod = fa * arr[s[1]]
-            for i in range(2, sys.k):
-                prod *= arr[s[i]]
-            total += prod
+        mats, _ = sys.complete_pairs_bulk(1, 2, int(a), supp)
+        prod = arr[mats[:, 0]]
+        for i in range(1, sys.k):
+            prod *= arr[mats[:, i]]
+        total += float(prod.sum())
     return total / sys.size
 
 
@@ -321,11 +298,10 @@ def split_capped_count(sys: SequenceSystem, fs, mode="exact", tuple_samples=0,
             raise EnumerationGuardError(
                 f"exact split count needs {work} rows; use mode='mc'")
         total = 0.0
-        n_tuples = 0
         for combo in np.ndindex(*([m] * (k - 1))):
             res = capped_convolve(sys, 1, [fs[c] for c in combo], guard=guard)
             total += inner_product(fbar, res.function(sys.ground))
-            n_tuples += 1
+        n_tuples = m ** (k - 1)
         return total / n_tuples, 0.0, {"mode": "exact", "tuples": n_tuples}
     if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
@@ -333,16 +309,15 @@ def split_capped_count(sys: SequenceSystem, fs, mode="exact", tuple_samples=0,
         raise ValueError("mode='mc' needs tuple_samples and x_samples")
     rng = np.random.default_rng(seed)
     fbar_arr = fbar.dense()
-    draws = np.empty(tuple_samples * x_samples)
-    t = 0
+    draws = []
     for _ in range(tuple_samples):
         combo = rng.integers(0, m, size=k - 1)
-        sel = [arrs[c] for c in combo]
-        for _ in range(x_samples):
-            x = int(rng.integers(0, X))
-            mean, _, _ = _fiber_products(sys, 1, sel, x)
-            draws[t] = fbar_arr[x] * min(mean, CAP)
-            t += 1
+        # the same stream as x_samples scalar draws, so seeded runs keep
+        # their points
+        xs = rng.integers(0, X, size=x_samples)
+        means = _fiber_means(sys, 1, [arrs[c] for c in combo], xs)
+        draws.append(fbar_arr[xs] * np.minimum(means, CAP))
+    draws = np.concatenate(draws)
     value = float(draws.mean())
     err = float(draws.std(ddof=1) / math.sqrt(draws.size))
     return value, err, {"mode": "mc", "tuple_samples": tuple_samples,

@@ -33,6 +33,7 @@ weight-function arrays can be indexed directly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -43,6 +44,9 @@ import numpy as np
 from .core import GroundSet, _rank_subset
 
 ENUM_GUARD = 10 ** 7
+
+# fiber rows per gather chunk; larger chunks spill the temporaries out of cache
+CHUNK_ELEMENTS = 2 ** 14
 
 
 class EnumerationGuardError(RuntimeError):
@@ -219,6 +223,29 @@ class SequenceSystem:
         """|S_j(x)| for one specific x (cheap closed forms where available)."""
         return int(self.fiber_matrix(j, x).shape[0])
 
+    def fiber_block(self, j, xs):
+        """The fibers S_j(x), x in xs, as (cols, counts): counts[t] =
+        |S_j(xs[t])| and one index array per position i != j, in order.
+        Entries lie in [0, 2|X|) and index concatenate([a, a]).  Columns are
+        (len(xs), R) when all fibers have size R, else stacked (sum counts,).
+        """
+        mats = [self.fiber_matrix(j, int(x)) for x in xs]
+        counts = np.array([m.shape[0] for m in mats], dtype=np.int64)
+        rows = (np.concatenate(mats) if mats
+                else np.empty((0, self.k), dtype=np.int64))
+        cols = [rows[:, i] for i in range(self.k) if i != j - 1]
+        if counts.size and np.all(counts == counts[0]):
+            cols = [c.reshape(counts.size, -1) for c in cols]
+        return cols, counts
+
+    def fiber_blocks(self, j, xs):
+        """Yield (lo, cols, counts): fiber_block of xs[lo:lo + step], with
+        step points holding about CHUNK_ELEMENTS fiber rows."""
+        step = max(1, CHUNK_ELEMENTS // max(self.fiber_size(j), 1))
+        for lo in range(0, len(xs), step):
+            cols, counts = self.fiber_block(j, xs[lo:lo + step])
+            yield lo, cols, counts
+
     def sample_fiber(self, j, x, count, seed):
         mat = self.fiber_matrix(j, x)
         rng = np.random.default_rng(seed)
@@ -262,7 +289,41 @@ def _require_prime(n, kind, require_prime):
             f"{n} is composite (pass require_prime=False to override)")
 
 
-class APSystem(SequenceSystem):
+class _Progressions(SequenceSystem):
+    """Progressions (x, x+g, ..., x+(k-1)g) mod n over a fixed gap set.
+
+    The fibers are translates, S_j(x) = x + B_j with B_j = fiber_matrix(j, 0),
+    so a gather block is x + B_j: it lies in [0, 2n) and indexes the doubled
+    value array without a reduction mod n."""
+
+    def __init__(self, n, k, gaps):
+        super().__init__(GroundSet.cyclic(n), k)
+        self.n = n
+        self._gaps = gaps
+        self._bases = {}  # j -> the k-1 columns of B_j that a gather needs
+
+    @property
+    def size(self):
+        return self.n * len(self._gaps)
+
+    def fiber_matrix(self, j, x):
+        offs = np.arange(1, self.k + 1, dtype=np.int64) - j
+        return (x + np.outer(self._gaps, offs)) % self.n
+
+    def fiber_count(self, j, x):
+        return len(self._gaps)
+
+    def fiber_block(self, j, xs):
+        if j not in self._bases:
+            mat = self.fiber_matrix(j, 0)
+            self._bases[j] = [mat[:, i].copy() for i in range(self.k)
+                              if i != j - 1]
+        xs = np.asarray(xs, dtype=np.int64)[:, None]
+        return ([xs + b for b in self._bases[j]],
+                np.full(xs.shape[0], len(self._gaps), dtype=np.int64))
+
+
+class APSystem(_Progressions):
     """(x, x+d, ..., x+(k-1)d) mod n; d != 0 unless allow_d0."""
 
     kind = "ap"
@@ -273,21 +334,9 @@ class APSystem(SequenceSystem):
         if k < 2 or n <= k:
             raise ValueError("ap system needs 2 <= k < n")
         _require_prime(n, "ap", require_prime)
-        super().__init__(GroundSet.cyclic(n), k)
-        self.n = n
+        super().__init__(n, k, np.arange(0 if allow_d0 else 1, n,
+                                         dtype=np.int64))
         self.allow_d0 = allow_d0
-        self._dvals = np.arange(0 if allow_d0 else 1, n, dtype=np.int64)
-
-    @property
-    def size(self):
-        return self.n * len(self._dvals)
-
-    def fiber_matrix(self, j, x):
-        offs = np.arange(1, self.k + 1, dtype=np.int64) - j
-        return (x + np.outer(self._dvals, offs)) % self.n
-
-    def fiber_count(self, j, x):
-        return len(self._dvals)
 
     def complete_pair(self, i, j, a, b):
         if i == j:
@@ -339,20 +388,15 @@ class IntervalAPSystem(SequenceSystem):
         dmax = (self.n - 1) // (self.k - 1)
         return sum(self.n - (self.k - 1) * d for d in range(1, dmax + 1))
 
+    def fiber_size(self, j):
+        # the largest fiber at position j: every gap up to (n-1)/(k-1) fits
+        # at x = (j-1) * gap, and no larger gap fits anywhere
+        return (self.n - 1) // (self.k - 1)
+
     def fiber_matrix(self, j, x):
-        rows = []
-        d = 1
-        while True:
-            lo = x - (j - 1) * d
-            hi = x + (self.k - j) * d
-            if lo < 0 or hi >= self.n:
-                # all larger d fail the same side only if both shrink; the
-                # window is monotone in d, so we can stop
-                break
-            rows.append([x + (h - j) * d for h in range(1, self.k + 1)])
-            d += 1
-        return (np.array(rows, dtype=np.int64)
-                if rows else np.empty((0, self.k), dtype=np.int64))
+        d = np.arange(1, self.fiber_size(j) + 1, dtype=np.int64)
+        d = d[(x - (j - 1) * d >= 0) & (x + (self.k - j) * d < self.n)]
+        return x + np.outer(d, np.arange(1, self.k + 1, dtype=np.int64) - j)
 
     def complete_pair(self, i, j, a, b):
         if i == j:
@@ -370,7 +414,7 @@ class IntervalAPSystem(SequenceSystem):
         return {"kind": "interval-ap", "n": self.n, "k": self.k}
 
 
-class PolyAPSystem(SequenceSystem):
+class PolyAPSystem(_Progressions):
     """a, a+d^r, ..., a+(k-1)d^r mod n with 1 <= d <= floor((n/k)^{1/r}).
 
     The range cap keeps the powers d^r distinct as integers below n, which is
@@ -383,29 +427,15 @@ class PolyAPSystem(SequenceSystem):
         if k < 2 or r < 1:
             raise ValueError("polyap system needs k >= 2, r >= 1")
         _require_prime(n, "polyap", require_prime)
-        super().__init__(GroundSet.cyclic(n), k)
-        self.n, self.r = n, r
         dmax = 1
         while k * (dmax + 1) ** r <= n:
             dmax += 1
         if k * dmax ** r > n:
             raise ValueError(f"no admissible gap for n={n}, k={k}, r={r}")
+        super().__init__(n, k, np.arange(1, dmax + 1, dtype=np.int64) ** r % n)
+        self.r = r
         self.gamma = Fraction(1, r)
-        self._dvals = np.arange(1, dmax + 1, dtype=np.int64)
-        self._powers = (self._dvals ** r) % n
-        self._power_to_d = {int(pw): int(d)
-                            for d, pw in zip(self._dvals, self._powers)}
-
-    @property
-    def size(self):
-        return self.n * len(self._dvals)
-
-    def fiber_matrix(self, j, x):
-        offs = np.arange(1, self.k + 1, dtype=np.int64) - j
-        return (x + np.outer(self._powers, offs)) % self.n
-
-    def fiber_count(self, j, x):
-        return len(self._dvals)
+        self._gap_set = set(self._gaps.tolist())
 
     def complete_pair(self, i, j, a, b):
         if i == j:
@@ -415,7 +445,7 @@ class PolyAPSystem(SequenceSystem):
         except ValueError:
             return None
         gap = ((b - a) * inv) % self.n
-        if gap not in self._power_to_d:
+        if gap not in self._gap_set:
             return None
         return tuple((a + (h - i) * gap) % self.n for h in range(1, self.k + 1))
 
@@ -524,7 +554,7 @@ class SchurSystem(SequenceSystem):
             "fiber size measured with all three entries pairwise distinct "
             "(n-3 for odd prime n); conventions permitting x = y would give n-2")
 
-    @property
+    @functools.cached_property
     def size(self):
         return sum(self.fiber_matrix(1, x).shape[0] for x in range(self.ground.size))
 
@@ -856,14 +886,14 @@ def pair_profile(sys: SequenceSystem, sample=None, seed=0,
         rng = np.random.default_rng(seed)
         xs = rng.integers(0, X, size=sample)
     sigma_seen, t_seen = set(), set()
-    for x in xs:
-        mat = sys.fiber_matrix(1, int(x))
-        if mat.shape[0] == 0:
-            t_seen.add(0)
-            continue
-        _, counts = np.unique(mat[:, sys.k - 1], return_counts=True)
-        sigma_seen.update(int(c) for c in counts)
-        t_seen.add(int(counts.size))
+    for _, cols, counts in sys.fiber_blocks(1, xs):
+        probe = np.repeat(np.arange(counts.size), counts)
+        # sort (probe, last entry) keys; each run of equal keys is one bucket
+        keys = np.sort(probe * X + cols[-1].ravel() % X)
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        sigma_seen.update(np.unique(np.diff(starts, append=keys.size)).tolist())
+        t_seen.update(np.unique(np.bincount(keys[starts] // X,
+                                            minlength=counts.size)).tolist())
     uniform = len(sigma_seen) == 1 and len(t_seen) == 1
     return PairProfile(
         sigma=next(iter(sigma_seen)) if len(sigma_seen) == 1 else None,

@@ -81,13 +81,6 @@ def _full_eval_ok(sys, guard=EXACT_FULL_GUARD):
     return sys.ground.size * max(sys.fiber_size(1), 1) <= guard
 
 
-def _conv_values(sys, j, args, xs, seed):
-    """Values of conv_j(args) either on all of X or at sampled xs."""
-    if xs is None:
-        return convolve(sys, j, args).values
-    return convolve(sys, j, args, xs=xs).values
-
-
 def sample_anti_uniform(sys: SequenceSystem, ensemble, j, indices,
                         g_mode="random_indicator", g_value=0.5,
                         f_mode="full", seed=0, supplied_g=None,
@@ -180,7 +173,7 @@ def check_properties(sys: SequenceSystem, ensemble, which=(0, 1, 2, 3),
         for j, tup in combos:
             args = [mus[i - 1] for i in tup]
             xs = None if exact else rng.integers(0, X, size=x_samples)
-            vals = _conv_values(sys, j, args, xs, seed)
+            vals = convolve(sys, j, args, xs=xs).values
             excess = np.maximum(vals - CAP, 0.0)
             est = float(excess.mean())
             e = 0.0 if exact else float(excess.std(ddof=1) / math.sqrt(excess.size))
@@ -200,7 +193,7 @@ def check_properties(sys: SequenceSystem, ensemble, which=(0, 1, 2, 3),
                 args = ([WeightFunction.constant(sys.ground, 1.0)] * (j - 1)
                         + [mus[i - 1] for i in tup])
                 xs = None if exact else rng.integers(0, X, size=x_samples)
-                vals = _conv_values(sys, j, args, xs, seed)
+                vals = convolve(sys, j, args, xs=xs).values
                 top = float(vals.max()) if vals.size else 0.0
                 checked += 1
                 if top > stat:
@@ -257,7 +250,7 @@ def eta_j_good(sys, j, measures, eta, x_samples=256, seed=0) -> PropertyReport:
     exact = _full_eval_ok(sys)
     rng = np.random.default_rng(derive_seed(seed, "etaj"))
     xs = None if exact else rng.integers(0, sys.ground.size, size=x_samples)
-    vals = _conv_values(sys, j, list(measures), xs, seed)
+    vals = convolve(sys, j, list(measures), xs=xs).values
     excess = np.maximum(vals - CAP, 0.0)
     stat = float(excess.mean())
     err = 0.0 if exact else float(excess.std(ddof=1) / math.sqrt(excess.size))
@@ -290,7 +283,7 @@ def check_conditions(sys: SequenceSystem, p, trials=1, alpha=0.1, seed=0,
                         else:
                             args.append(WeightFunction.constant(sys.ground, 1.0))
                     xs = None if exact else rng.integers(0, X, size=x_samples)
-                    vals = _conv_values(sys, j, args, xs, seed)
+                    vals = convolve(sys, j, args, xs=xs).values
                     top = float(vals.max()) if vals.size else 0.0
                     if top > stat1:
                         stat1 = top

@@ -45,6 +45,18 @@ def test_usage_errors_give_exit_two(capsys):
     assert code == 2
 
 
+def test_enumeration_guard_gives_exit_two(capsys):
+    # the exact split count at n=1009 needs more rows than the guard allows
+    code, out, err = run_cli(capsys, "dense-model", "--system", "ap",
+                             "--n", "1009", "--k", "3", "--p", "0.12",
+                             "--family-size", "64")
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["code"] == 2
+    assert "exact split count needs" in payload["error"]
+
+
 def test_properties_command(capsys):
     code, out, _ = run_cli(capsys, "properties", "--system", "ap",
                            "--n", "101", "--k", "3", "--p", "1.0",

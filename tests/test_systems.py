@@ -61,6 +61,14 @@ def test_schur_matches_bruteforce():
     assert any("n-2" in note for note in sys.notes)
 
 
+@pytest.mark.parametrize("n", [5, 7, 11, 101])
+def test_schur_size_is_cached_closed_form(n):
+    sys = SchurSystem(n)
+    assert sys.size == (n - 1) * (n - 3)
+    assert sys.size == len(brute_schur_triples(n))
+    assert "size" in vars(sys)  # computed once, then read from the instance
+
+
 def test_homothety_matches_bruteforce():
     pts = [(0, 0), (0, 1), (1, 0)]
     sys = HomothetySystem(7, 2, pts)
