@@ -107,8 +107,7 @@ def _trial_stats(sys_obj, target, p, seed, config):
         stats.append(("normalized_count", float(value), ok))
         stats.append(("count_stderr", float(err), True))
     elif target == "density":
-        rep = adversary_free_subset(sys_obj, U, budget=config.budget,
-                                    seed=seed)
+        rep = adversary_free_subset(sys_obj, U, budget=config.budget)
         stats.append(("tuples_in_set", float(rep.tuples_in_U), True))
         stats.append(("free_density", float(rep.density),
                       rep.density >= config.density_threshold))
@@ -345,8 +344,7 @@ def _check_oracle(args):
         if args.p is None:
             raise ValueError("--p is required for free-subset")
         U = sample_subset(sys_obj.ground, args.p, args.seed)
-        rep = adversary_free_subset(sys_obj, U, budget=args.budget,
-                                    seed=args.seed)
+        rep = adversary_free_subset(sys_obj, U, budget=args.budget)
         return {"oracle": name, **rep.to_json(), "ok": True}, True
     if name == "colouring":
         sys_obj = _build_from_args(args)

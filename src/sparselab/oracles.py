@@ -236,74 +236,102 @@ def _copies_in_host(host: HostGraph, K: PatternHypergraph):
     return sorted(seen, key=sorted)
 
 
-def ramsey_multiplicity(host: HostGraph, K: PatternHypergraph, r,
-                        mode="exhaustive", guard=EXHAUSTIVE_GUARD,
-                        budget=20000, seed=0):
-    """Minimum number of monochromatic (unordered) copies of K over all
-    r-colourings of the host's edges.
+def _mono_count(tuples_, col):
+    """Tuples whose entries all carry one colour under col."""
+    return sum(1 for s in tuples_ if all(col[v] == col[s[0]] for v in s[1:]))
 
-    Exhaustive mode fixes the first edge's colour (colour permutations are
-    symmetries) and scans the rest; heuristic mode is greedy + local search
-    and reports an upper bound.  Returns (count, colouring dict).
+
+def _min_mono_colouring(tuples_, size, r, mode, budget, seed, label,
+                        guard=EXHAUSTIVE_GUARD):
+    """Minimum number of monochromatic tuples over r-colourings of
+    range(size); tuples_ are index tuples into range(size).
+
+    Exhaustive mode fixes the colour of element 0 (colour permutations are
+    symmetries) and scans the rest.  Heuristic mode restarts a greedy local
+    search from random colourings (rng labelled `label`) until `budget`
+    single-colour evaluations are spent or a colouring with no monochromatic
+    tuple is found; each restart's result is an upper bound, and the best is
+    recounted from scratch before it is returned.  Returns (count, colouring
+    list).
     """
-    if r < 1:
-        raise ValueError("need at least one colour")
-    edges = sorted(host.edges)
-    E = len(edges)
-    index = {e: i for i, e in enumerate(edges)}
-    copies = _copies_in_host(host, K)
-    copy_idx = [sorted(index[e] for e in c) for c in copies]
-    if r == 1 or not copy_idx:
-        return len(copy_idx), {str(e): 0 for e in edges}
-
-    def mono_count(col):
-        total = 0
-        for c in copy_idx:
-            first = col[c[0]]
-            if all(col[i] == first for i in c[1:]):
-                total += 1
-        return total
-
     if mode == "exhaustive":
-        if r ** E > guard:
+        if r ** size > guard:
             raise ValueError(
-                f"{r}^{E} colourings exceed the exhaustive guard; "
+                f"{r}^{size} colourings exceed the exhaustive guard; "
                 "use mode='heuristic'")
         best, witness = None, None
-        for rest in itertools.product(range(r), repeat=E - 1):
+        for rest in itertools.product(range(r), repeat=size - 1):
             col = (0,) + rest
-            cnt = mono_count(col)
+            cnt = _mono_count(tuples_, col)
             if best is None or cnt < best:
-                best, witness = cnt, col
+                best, witness = cnt, list(col)
                 if best == 0:
                     break
-        return best, {str(e): witness[i] for i, e in enumerate(edges)}
+        return best, witness
     if mode != "heuristic":
         raise ValueError(f"unknown mode {mode!r}")
-    rng = np.random.default_rng(derive_seed(seed, "ramsey"))
+    # counts[t][c]: entries of tuple t coloured c.  Recolouring element i,
+    # which fills m entries of t, to c makes t monochromatic iff
+    # counts[t][c] + (m if c != col[i] else 0) == len(t); tuples not
+    # through i add the same number to every colour's score, so the local
+    # score picks the same colour as a global recount would.
+    counts = [[0] * r for _ in tuples_]
+    through = [[] for _ in range(size)]
+    for row, s in zip(counts, tuples_):
+        for i in set(s):
+            through[i].append((row, s.count(i), len(s)))
+    rng = np.random.default_rng(derive_seed(seed, label))
     best, witness = None, None
     evals = 0
     while evals < budget:
-        col = list(rng.integers(0, r, size=E))
+        col = list(rng.integers(0, r, size=size))
+        for row, s in zip(counts, tuples_):
+            row[:] = [0] * r
+            for v in s:
+                row[col[v]] += 1
         improved = True
         while improved and evals < budget:
             improved = False
-            for i in range(E):
+            for i in range(size):
                 base = col[i]
-                scores = []
-                for c in range(r):
-                    col[i] = c
-                    scores.append((mono_count(col), c))
-                    evals += 1
+                scores = [(sum(1 for row, m, k in through[i]
+                               if row[c] + (m if c != base else 0) == k), c)
+                          for c in range(r)]
+                evals += r
                 cnt, c = min(scores)
                 col[i] = c
-                if c != base and cnt < scores[base][0]:
-                    improved = True
-        cnt = mono_count(col)           # certified recount
+                if c != base:
+                    for row, m, _ in through[i]:
+                        row[base] -= m
+                        row[c] += m
+                    if cnt < scores[base][0]:
+                        improved = True
+        cnt = sum(1 for row, s in zip(counts, tuples_) if max(row) == len(s))
         if best is None or cnt < best:
             best, witness = cnt, list(col)
         if best == 0:
             break
+    if _mono_count(tuples_, witness) != best:
+        raise AssertionError("colour counts disagree with a recount")
+    return best, witness
+
+
+def ramsey_multiplicity(host: HostGraph, K: PatternHypergraph, r,
+                        mode="exhaustive", guard=EXHAUSTIVE_GUARD,
+                        budget=20000, seed=0):
+    """Minimum number of monochromatic (unordered) copies of K over all
+    r-colourings of the host's edges: exhaustive, or an upper bound from
+    the heuristic search (see _min_mono_colouring).  Returns (count,
+    colouring dict)."""
+    if r < 1:
+        raise ValueError("need at least one colour")
+    edges = sorted(host.edges)
+    index = {e: i for i, e in enumerate(edges)}
+    copy_idx = [sorted(index[e] for e in c) for c in _copies_in_host(host, K)]
+    if r == 1 or not copy_idx:
+        return len(copy_idx), {str(e): 0 for e in edges}
+    best, witness = _min_mono_colouring(copy_idx, len(edges), r, mode, budget,
+                                        seed, "ramsey", guard)
     return best, {str(e): witness[i] for i, e in enumerate(edges)}
 
 
@@ -318,50 +346,8 @@ def ramsey_multiplicity_system(sys: SequenceSystem, r, mode="exhaustive",
     tuples_ = _tuple_list(sys)
     if r == 1 or not tuples_:
         return len(tuples_), [0] * X
-
-    def mono_count(col):
-        return sum(1 for s in tuples_
-                   if all(col[v] == col[s[0]] for v in s[1:]))
-
-    if mode == "exhaustive":
-        if r ** X > guard:
-            raise ValueError(
-                f"{r}^{X} colourings exceed the exhaustive guard; "
-                "use mode='heuristic'")
-        best, witness = None, None
-        for rest in itertools.product(range(r), repeat=X - 1):
-            col = (0,) + rest
-            cnt = mono_count(col)
-            if best is None or cnt < best:
-                best, witness = cnt, list(col)
-                if best == 0:
-                    break
-        return best, witness
-    rng = np.random.default_rng(derive_seed(seed, "ramsey-sys"))
-    best, witness = None, None
-    evals = 0
-    while evals < budget:
-        col = list(rng.integers(0, r, size=X))
-        improved = True
-        while improved and evals < budget:
-            improved = False
-            for i in range(X):
-                base = col[i]
-                scores = []
-                for c in range(r):
-                    col[i] = c
-                    scores.append((mono_count(col), c))
-                    evals += 1
-                cnt, c = min(scores)
-                col[i] = c
-                if c != base and cnt < scores[base][0]:
-                    improved = True
-        cnt = mono_count(col)
-        if best is None or cnt < best:
-            best, witness = cnt, list(col)
-        if best == 0:
-            break
-    return best, witness
+    return _min_mono_colouring(tuples_, X, r, mode, budget, seed,
+                               "ramsey-sys", guard)
 
 
 # --- extremal numbers -----------------------------------------------------
@@ -439,13 +425,16 @@ def extremal_number(n, K: PatternHypergraph, budget=10 ** 7):
 # --- adversarial witnesses ------------------------------------------------
 
 def tuples_within(sys: SequenceSystem, U, guard=10 ** 7):
-    """All tuples of S with every coordinate in U (exact, support-restricted).
+    """All tuples of S with every coordinate in U and s_1 != s_2 (exact,
+    support-restricted), a-major over a = s_1 in sorted U.
 
-    Two-dof systems complete ordered (s_1, s_2) pairs from U x U; copy
-    systems backtrack vertex images over the sub-host spanned by U.
+    ap completes each a in U against U minus a in bulk (b = s_2 ascending);
+    the other sequence kinds keep the rows of the fiber S_1(a) that lie in U;
+    copy systems backtrack vertex images over the sub-host spanned by U.
+    The guard bounds |U|^2 completions on two-degrees-of-freedom kinds and
+    the fiber rows scanned on the rest.
     """
     U = sorted(int(u) for u in U)
-    U_set = set(U)
     out = []
     if isinstance(sys, CopySystem):
         K = sys.pattern
@@ -455,26 +444,27 @@ def tuples_within(sys: SequenceSystem, U, guard=10 ** 7):
             out.append(tuple(sys.edge_rank([phi[u] for u in e])
                              for e in K.edges))
         return out
-    if not sys.claims_two_dof:
-        # fall back to scanning fibers rooted inside U
-        total = 0
-        for a in U:
-            mat = sys.fiber_matrix(1, a)
-            total += mat.shape[0]
-            if total > guard:
-                raise ValueError("support enumeration exceeds guard")
-            inside = np.all(np.isin(mat, U), axis=1)
-            out.extend(tuple(int(v) for v in row) for row in mat[inside])
-        return out
-    if len(U) ** 2 > guard:
-        raise ValueError("support enumeration exceeds guard")
+    if sys.claims_two_dof and len(U) ** 2 > guard:
+        raise ValueError(
+            f"support enumeration needs {len(U) ** 2} completions "
+            f"(|U|^2), over the guard {guard}")
+    inside = np.zeros(sys.ground.size, dtype=bool)
+    inside[U] = True
+    members = np.array(U, dtype=np.int64)
+    bulk = hasattr(sys, "complete_pairs_bulk")
+    rows_seen = 0
     for a in U:
-        for b in U:
-            if a == b:
-                continue
-            s = sys.complete_pair(1, 2, a, b)
-            if s is not None and all(v in U_set for v in s):
-                out.append(tuple(int(v) for v in s))
+        if bulk:
+            rows, _ = sys.complete_pairs_bulk(1, 2, a, members[members != a])
+        else:
+            rows = sys.fiber_matrix(1, a)
+            rows_seen += rows.shape[0]
+            if not sys.claims_two_dof and rows_seen > guard:
+                raise ValueError(
+                    f"support enumeration needs more than {rows_seen - 1} "
+                    f"fiber rows, over the guard {guard}")
+        keep = inside[rows].all(axis=1) & (rows[:, 0] != rows[:, 1])
+        out.extend(map(tuple, rows[keep].tolist()))
     return out
 
 
@@ -493,94 +483,72 @@ class AdversaryReport:
                 "certified": self.certified, "detail": self.detail}
 
 
-def adversary_free_subset(sys: SequenceSystem, U, budget=10 ** 6,
-                          seed=0) -> AdversaryReport:
+def adversary_free_subset(sys: SequenceSystem, U,
+                          budget=10 ** 6) -> AdversaryReport:
     """Greedy removal of high-coverage elements until no tuple survives,
     followed by a re-add pass; the returned subset is certified free by an
-    independent recount.  Density is |A|/|U| (1.0 for empty U)."""
+    independent recount.  Density is |A|/|U| (1.0 for empty U).
+
+    Each step removes the element of U in the most live tuples, the smallest
+    on ties; the re-add pass, in ascending order, puts back every removed
+    element whose tuples all keep another element outside the subset.
+    """
     U = sorted(int(u) for u in U)
     if not U:
         return AdversaryReport([], 1.0, [], 0, True)
     tuples_ = tuples_within(sys, U, guard=budget)
-    cover = {u: set() for u in U}
-    for t, s in enumerate(tuples_):
-        for v in set(s):
-            cover[v].add(t)
-    alive = set(range(len(tuples_)))
-    A = set(U)
-    removed = []
-    while alive:
-        u = max(A, key=lambda v: (len(cover[v] & alive), -v))
-        A.discard(u)
-        removed.append(u)
-        alive -= cover[u]
-    # re-add any removed element whose tuples stay broken without it
-    for u in sorted(removed):
-        if all(any(v not in A and v != u for v in set(s))
-               for s in (tuples_[t] for t in cover[u])):
-            A.add(u)
-    removed = sorted(set(U) - A)
-    leftovers = tuples_within(sys, sorted(A), guard=budget)
-    if leftovers:
+    n_u = len(U)
+    pos = np.zeros(sys.ground.size, dtype=np.int64)
+    pos[U] = np.arange(n_u)
+    # members[t]: the distinct positions in U of tuple t, repeats replaced
+    # by the spare slot n_u, which is never live and never outside
+    members = np.sort(pos[np.array(tuples_, dtype=np.int64)
+                          .reshape(len(tuples_), sys.k)], axis=1)
+    members[:, 1:][members[:, 1:] == members[:, :-1]] = n_u
+    tids = np.repeat(np.arange(len(tuples_)), members.shape[1])
+    flat = members.ravel()
+    order = np.argsort(flat, kind="stable")
+    starts = np.searchsorted(flat[order], np.arange(n_u + 1))
+    cover = [tids[order[starts[i]:starts[i + 1]]] for i in range(n_u)]
+    live = np.bincount(flat, minlength=n_u + 1)
+    live[n_u] = -1
+    alive = np.ones(len(tuples_), dtype=bool)
+    left = len(tuples_)
+    while left:
+        i = int(np.argmax(live))
+        live[i] = -1
+        dead = cover[i][alive[cover[i]]]
+        alive[dead] = False
+        left -= dead.size
+        live -= np.bincount(members[dead].ravel(), minlength=n_u + 1)
+    outside = np.zeros(n_u + 1, dtype=bool)
+    outside[:n_u] = live[:n_u] < 0
+    for i in np.flatnonzero(outside[:n_u]):
+        others = members[cover[i]]
+        if np.all(np.any(outside[others] & (others != i), axis=1)):
+            outside[i] = False
+    A = [u for u, out in zip(U, outside) if not out]
+    removed = [u for u, out in zip(U, outside) if out]
+    if tuples_within(sys, A, guard=budget):
         raise AssertionError("adversary produced an uncertified subset")
-    return AdversaryReport(sorted(A), len(A) / len(U), removed,
-                           len(tuples_), True)
+    return AdversaryReport(A, len(A) / len(U), removed, len(tuples_), True)
 
 
 def adversary_colouring(sys: SequenceSystem, U, r, budget=5000, seed=0):
     """Colour U with r colours to minimize monochromatic tuples of S inside
-    U; local search with restarts.  Returns (colouring dict, count), with
-    the count re-derived from the returned colouring."""
+    U by the heuristic search of _min_mono_colouring.  Returns (colouring
+    dict, count), with the count re-derived from the returned colouring."""
     if r < 1:
         raise ValueError("need at least one colour")
     U = sorted(int(u) for u in U)
     if not U:
         return {}, 0
-    tuples_ = tuples_within(sys, U)
     pos = {u: i for i, u in enumerate(U)}
-    touching = [[] for _ in U]
-    tidx = [tuple(pos[v] for v in s) for s in tuples_]
-    for t, s in enumerate(tidx):
-        for i in set(s):
-            touching[i].append(t)
-
-    def mono(col, t):
-        s = tidx[t]
-        first = col[s[0]]
-        return all(col[i] == first for i in s[1:])
-
-    def total(col):
-        return sum(1 for t in range(len(tidx)) if mono(col, t))
-
+    tidx = [tuple(pos[v] for v in s) for s in tuples_within(sys, U)]
     if r >= len(U):
         col = list(range(len(U)))
-        cnt = total(col)
-        return {str(u): col[i] for i, u in enumerate(U)}, cnt
-    rng = np.random.default_rng(derive_seed(seed, "colouring"))
-    best_cnt, best_col = None, None
-    evals = 0
-    while evals < budget:
-        col = list(rng.integers(0, r, size=len(U)))
-        improved = True
-        while improved and evals < budget:
-            improved = False
-            for i in range(len(U)):
-                base = col[i]
-                scores = []
-                for c in range(r):
-                    col[i] = c
-                    scores.append((sum(1 for t in touching[i]
-                                       if mono(col, t)), c))
-                    evals += 1
-                _, c = min(scores)
-                col[i] = c
-                if c != base and min(scores)[0] < scores[base][0]:
-                    improved = True
-        cnt = total(col)
-        if best_cnt is None or cnt < best_cnt:
-            best_cnt, best_col = cnt, list(col)
-        if best_cnt == 0:
-            break
-    recount = total(best_col)
-    assert recount == best_cnt
-    return {str(u): best_col[i] for i, u in enumerate(U)}, recount
+        cnt = _mono_count(tidx, col)
+    else:
+        cnt, col = _min_mono_colouring(tidx, len(U), r, "heuristic", budget,
+                                       seed, "colouring")
+    return {str(u): col[i] for i, u in enumerate(U)}, cnt

@@ -292,11 +292,15 @@ def check_conditions(sys: SequenceSystem, p, trials=1, alpha=0.1, seed=0,
         mid = mus[1: k - 1]
         for probe in range(pair_samples):
             x = int(rng.integers(0, X))
-            row = sys.sample_fiber(1, x, 1, int(rng.integers(0, 2 ** 62)))[0]
-            y = int(row[k - 1])
-            t_x = int(np.unique(sys.fiber_matrix(1, x)[:, k - 1]).size)
-            if t_x == 0:
+            row_seed = int(rng.integers(0, 2 ** 62))
+            last = sys.fiber_matrix(1, x)[:, k - 1]
+            if last.size == 0:
                 continue
+            # the row sample_fiber(1, x, 1, row_seed) draws, without a
+            # second fiber build
+            rng_row = np.random.default_rng(row_seed)
+            y = int(last[rng_row.integers(0, last.size, size=1)[0]])
+            t_x = int(np.count_nonzero(np.bincount(last)))
             res = w_kernel(sys, mid, x, y)
             if res.value > 0:
                 hits += 1

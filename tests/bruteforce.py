@@ -142,3 +142,97 @@ def brute_labeled_copies(host_edges, pattern_edges, pattern_v, host_n):
 def brute_mk(edges, v, k):
     """(e-1)/(v-k) as an exact fraction."""
     return Fraction(len(edges) - 1, v - k)
+
+
+# --- reference copies of the adversary loops ------------------------------
+#
+# These are the scalar loops the array-based oracles replaced, kept as
+# references: the seeded results of the oracles must equal theirs.  They
+# take a system object or an rng (anything with complete_pair / integers)
+# from the caller, so this file still imports nothing from sparselab.
+
+def ref_tuples_within_pairs(sys, U):
+    """Complete every ordered pair a != b of U at positions 1, 2 and keep
+    the tuples inside U, a-major with b ascending."""
+    U = sorted(int(u) for u in U)
+    U_set = set(U)
+    out = []
+    for a in U:
+        for b in U:
+            if a == b:
+                continue
+            s = sys.complete_pair(1, 2, a, b)
+            if s is not None and all(v in U_set for v in s):
+                out.append(tuple(int(v) for v in s))
+    return out
+
+
+def ref_free_subset(tuples_, U):
+    """Greedy cover: remove the element in the most live tuples (smallest
+    on ties) until none is live, then re-add, in ascending order, every
+    removed element whose tuples keep another element outside.  Returns
+    (subset, removed), both sorted."""
+    U = sorted(int(u) for u in U)
+    cover = {u: set() for u in U}
+    for t, s in enumerate(tuples_):
+        for v in set(s):
+            cover[v].add(t)
+    alive = set(range(len(tuples_)))
+    A = set(U)
+    removed = []
+    while alive:
+        u = max(A, key=lambda v: (len(cover[v] & alive), -v))
+        A.discard(u)
+        removed.append(u)
+        alive -= cover[u]
+    for u in sorted(removed):
+        if all(any(v not in A and v != u for v in set(s))
+               for s in (tuples_[t] for t in cover[u])):
+            A.add(u)
+    return sorted(A), sorted(set(U) - A)
+
+
+def ref_mono_count(tuples_, col):
+    return sum(1 for s in tuples_ if all(col[v] == col[s[0]] for v in s[1:]))
+
+
+def ref_min_mono_exhaustive(tuples_, size, r):
+    """Scan every colouring with element 0 coloured 0; (count, colouring)."""
+    best, witness = None, None
+    for rest in itertools.product(range(r), repeat=size - 1):
+        col = (0,) + rest
+        cnt = ref_mono_count(tuples_, col)
+        if best is None or cnt < best:
+            best, witness = cnt, list(col)
+            if best == 0:
+                break
+    return best, witness
+
+
+def ref_min_mono_local_search(tuples_, size, r, budget, rng):
+    """Restarted local search scoring each recolouring by a full recount;
+    (count, colouring)."""
+    best, witness = None, None
+    evals = 0
+    while evals < budget:
+        col = list(rng.integers(0, r, size=size))
+        improved = True
+        while improved and evals < budget:
+            improved = False
+            for i in range(size):
+                base = col[i]
+                scores = []
+                for c in range(r):
+                    col[i] = c
+                    scores.append((ref_mono_count(tuples_, col), c))
+                    evals += 1
+                cnt, c = min(scores)
+                col[i] = c
+                if c != base and cnt < scores[base][0]:
+                    improved = True
+        cnt = ref_mono_count(tuples_, col)
+        if best is None or cnt < best:
+            best, witness = cnt, list(col)
+        if best == 0:
+            break
+    return best, witness

@@ -2,10 +2,12 @@
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from sparselab import oracles
 from sparselab.conv import count_functional
 from sparselab.core import make_measure
 from sparselab.oracles import (
@@ -22,9 +24,13 @@ from sparselab.oracles import (
     tuples_within,
     varnavides_count,
 )
-from sparselab.systems import PatternHypergraph, build_system
+from sparselab.sample import derive_seed, sample_subset
+from sparselab.systems import (APSystem, PatternHypergraph, SchurSystem,
+                               SequenceSystem, build_system)
 
-from bruteforce import brute_aps
+from bruteforce import (brute_aps, ref_free_subset, ref_min_mono_exhaustive,
+                        ref_min_mono_local_search, ref_tuples_within_pairs)
+from test_conv_engine import KINDS
 
 K3 = PatternHypergraph.complete(3)
 K4 = PatternHypergraph.complete(4)
@@ -299,3 +305,154 @@ def test_adversary_colouring_deterministic():
     a = adversary_colouring(sys, range(11), 2, budget=800, seed=5)
     b = adversary_colouring(sys, range(11), 2, budget=800, seed=5)
     assert a == b
+
+
+# --- differential tests against the scalar loops --------------------------
+
+@pytest.mark.parametrize("name", sorted(KINDS))
+def test_tuples_within_every_kind_matches_bruteforce(name):
+    make_sys, make_tuples = KINDS[name]
+    sys = make_sys()
+    X = sys.ground.size
+    index = {sys.ground.element(i): i for i in range(X)}
+    # tuples with s_1 = s_2 (ap with d = 0) are never reported
+    every = [tuple(index[e] for e in s) for s in make_tuples()
+             if s[0] != s[1]]
+    rng = np.random.default_rng(11)
+    for size in (0, 2, X // 3, X // 2, X):
+        U = sorted(int(u) for u in rng.choice(X, size=size, replace=False))
+        got = tuples_within(sys, U)
+        assert len(got) == len(set(got))
+        assert set(got) == {s for s in every if set(s) <= set(U)}
+
+
+@pytest.mark.parametrize("n,allow_d0", [(101, False), (101, True),
+                                        (1009, False)])
+def test_tuples_within_ap_equals_scalar_loop(n, allow_d0):
+    sys = APSystem(n, 3, allow_d0=allow_d0)
+    for seed, p in [(0, 0.1), (1, 0.3), (2, 0.6)]:
+        U = sample_subset(sys.ground, p, seed)
+        assert tuples_within(sys, U) == ref_tuples_within_pairs(sys, U)
+
+
+def test_tuples_within_guard_states_its_cost():
+    sys = build_system(kind="ap", n=101, k=3)
+    with pytest.raises(ValueError, match=r"needs 400 completions .*guard 399"):
+        tuples_within(sys, range(20), guard=399)
+    # one AP (x, (x + z)/2, z) per ordered pair x != z of equal parity
+    assert len(tuples_within(sys, range(20), guard=400)) == 2 * 10 * 9
+
+
+class FiberOnlyAP(SequenceSystem):
+    """An ap system seen only through its fibers (no bulk completion)."""
+
+    claims_two_dof = True
+
+    def __init__(self, inner):
+        super().__init__(inner.ground, inner.k)
+        self.inner = inner
+
+    def fiber_matrix(self, j, x):
+        return self.inner.fiber_matrix(j, x)
+
+
+def test_tuples_within_fiber_path_matches_bulk_path():
+    # with d = 0 the fibers hold rows (a, a, a), which neither path reports
+    for n, k in [(11, 3), (13, 4)]:
+        sys = APSystem(n, k, allow_d0=True)
+        for seed, p in [(0, 0.4), (1, 0.8), (2, 1.0)]:
+            U = sample_subset(sys.ground, p, seed)
+            assert sorted(tuples_within(FiberOnlyAP(sys), U)) == \
+                sorted(tuples_within(sys, U))
+
+
+ADVERSARY_SYSTEMS = [({"kind": "ap", "n": 101, "k": 3}, 0.3),
+                     # d = 10 in Z_20 gives (x, x + 10, x): a repeated entry
+                     ({"kind": "ap", "n": 20, "k": 3,
+                       "require_prime": False}, 0.7),
+                     ({"kind": "ap", "n": 1009, "k": 3}, 0.08),
+                     ({"kind": "polyap", "n": 101, "k": 3, "r": 2}, 0.5),
+                     ({"kind": "schur", "n": 53}, 0.4),
+                     ({"kind": "copies", "n": 6, "pattern": "K3"}, 0.6)]
+
+
+@pytest.mark.parametrize("desc,p", ADVERSARY_SYSTEMS)
+def test_adversary_free_subset_equals_reference(desc, p):
+    sys = build_system(desc)
+    for seed in range(4):
+        U = sample_subset(sys.ground, p, seed)
+        rep = adversary_free_subset(sys, U)
+        subset, removed = ref_free_subset(tuples_within(sys, U), U)
+        assert (rep.subset, rep.removed) == (subset, removed)
+        assert rep.tuples_in_U == len(tuples_within(sys, U))
+
+
+@pytest.mark.parametrize("desc,p", ADVERSARY_SYSTEMS)
+def test_adversary_colouring_equals_reference(desc, p):
+    sys = build_system(desc)
+    for seed, r, budget in [(0, 2, 600), (1, 2, 2000), (2, 3, 900)]:
+        U = sorted(int(u) for u in sample_subset(sys.ground, p, seed))
+        pos = {u: i for i, u in enumerate(U)}
+        tidx = [tuple(pos[v] for v in s) for s in tuples_within(sys, U)]
+        rng = np.random.default_rng(derive_seed(seed, "colouring"))
+        count, col = ref_min_mono_local_search(tidx, len(U), r, budget, rng)
+        colouring, got = adversary_colouring(sys, U, r, budget=budget,
+                                             seed=seed)
+        assert got == count
+        assert colouring == {str(u): col[i] for i, u in enumerate(U)}
+
+
+def _triangle_tuples(n):
+    edges = list(itertools.combinations(range(n), 2))
+    index = {e: i for i, e in enumerate(edges)}
+    return edges, [sorted(index[e] for e in itertools.combinations(tri, 2))
+                   for tri in itertools.combinations(range(n), 3)]
+
+
+@pytest.mark.parametrize("n,r", [(5, 2), (6, 2), (5, 3)])
+def test_ramsey_multiplicity_equals_reference(n, r):
+    edges, tuples_ = _triangle_tuples(n)
+    host = HostGraph.complete(n)
+    if r ** len(edges) <= 2 ** 24:
+        count, col = ref_min_mono_exhaustive(tuples_, len(edges), r)
+        got, witness = ramsey_multiplicity(host, K3, r)
+        assert got == count
+        assert witness == {str(e): col[i] for i, e in enumerate(edges)}
+    for seed, budget in [(0, 300), (1, 3000), (4, 20000)]:
+        rng = np.random.default_rng(derive_seed(seed, "ramsey"))
+        count, col = ref_min_mono_local_search(tuples_, len(edges), r,
+                                               budget, rng)
+        got, witness = ramsey_multiplicity(host, K3, r, mode="heuristic",
+                                           budget=budget, seed=seed)
+        assert got == count
+        assert witness == {str(e): col[i] for i, e in enumerate(edges)}
+
+
+@pytest.mark.parametrize("make_sys", [
+    lambda: SchurSystem(11),
+    # d = 0 gives tuples (x, x, x): one element fills every entry
+    lambda: APSystem(7, 3, allow_d0=True),
+    # d = 4 in Z_8 gives (x, x + 4, x): one element fills two of three
+    lambda: APSystem(8, 3, allow_d0=True, require_prime=False),
+])
+def test_ramsey_multiplicity_system_equals_reference(make_sys):
+    sys = make_sys()
+    X = sys.ground.size
+    tuples_ = [tuple(int(v) for v in s) for s in sys.tuples()]
+    for r in (2, 3):
+        if r ** X <= 2 ** 16:
+            assert ramsey_multiplicity_system(sys, r) == \
+                ref_min_mono_exhaustive(tuples_, X, r)
+        for seed, budget in [(0, 100), (1, 1000), (2, 5000)]:
+            rng = np.random.default_rng(derive_seed(seed, "ramsey-sys"))
+            assert ramsey_multiplicity_system(
+                sys, r, mode="heuristic", budget=budget, seed=seed) == \
+                ref_min_mono_local_search(tuples_, X, r, budget, rng)
+
+
+def test_colour_counts_are_checked_by_a_recount():
+    # the check is a raise, not an assert, so it also runs under python -O
+    sys = build_system(kind="ap", n=13, k=3)
+    with mock.patch.object(oracles, "_mono_count", lambda tuples_, col: -1):
+        with pytest.raises(AssertionError, match="recount"):
+            ramsey_multiplicity_system(sys, 2, mode="heuristic", budget=200)

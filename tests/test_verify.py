@@ -270,3 +270,30 @@ def test_conditions_below_cutoff():
     assert not by_name["condition2"].ok
     assert by_name["condition2"].statistic > 1.0
     assert by_name["condition2"].witness["W"] > 0
+
+
+def test_condition2_frozen_report():
+    # values recorded before t(x) moved from np.unique over a second fiber
+    # build to a bincount over the one fiber the probe draws y from
+    sys = build_system(kind="ap", n=1009, k=3)
+    for p, seed, stat, witness, hits in [
+            (0.2, 0, 0.24801587301587297,
+             {"trial": 0, "x": 482, "y": 821, "W": 5.0, "t": 1008}, 55),
+            (0.02, 1, 24.8015873015873,
+             {"trial": 0, "x": 532, "y": 670, "W": 50.0, "t": 1008}, 4)]:
+        rep = check_conditions(sys, p=p, trials=1, alpha=0.1, seed=seed,
+                               pair_samples=300)[1]
+        assert rep.statistic == stat
+        assert rep.witness == witness
+        assert rep.detail["nonzero_kernels"] == hits
+
+
+def test_condition2_skips_empty_fibers():
+    # interval-ap: S_1(x) is empty for x >= n - 2, and t(x) = (n - 1 - x) // 2
+    n = 11
+    sys = build_system({"kind": "interval-ap", "n": n, "k": 3})
+    rep = check_conditions(sys, 0.5, seed=1)[1]
+    w = rep.witness
+    assert rep.detail["nonzero_kernels"] > 0
+    assert w["t"] == (n - 1 - w["x"]) // 2 > 0
+    assert (w["y"] - w["x"]) % 2 == 0 and w["x"] < w["y"] < n
