@@ -13,6 +13,12 @@ adjointness equals <f, conv_1(f,..,f)>.
 Fiber averages come from one chunked gather engine: a block of points
 becomes the index block of their fibers (SequenceSystem.fiber_blocks), the
 k-1 argument arrays are gathered from it, multiplied and reduced per point.
+On 3-term progressions over odd n, convolve has a second evaluator: conv_j
+is a cyclic convolution once one argument is dilated by 2^{-1} (Tao & Vu,
+Additive Combinatorics, ch. 4), so one padded real FFT gives it at every x.
+convolve takes the FFT when the gather would read more fiber rows
+(|points| |S_j|) than FFT_COST * X log2 X; the measured crossovers were about
+14-20 points at n = 10007, 14-16 at n = 1009 and 28-40 at n = 101.
 
 Counting supports three evaluation modes:
 
@@ -33,10 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import WeightFunction, inner_product
-from .systems import (ENUM_GUARD, CopySystem, EnumerationGuardError,
-                      SequenceSystem)
+from .systems import (ENUM_GUARD, APSystem, CopySystem,
+                      EnumerationGuardError, SequenceSystem)
 
 CAP = 2.0
+FFT_COST = 1.5
 
 
 def _dense_list(sys, funcs, expect):
@@ -99,6 +106,59 @@ def _fiber_means(sys, j, arrs, points):
                      where=counts > 0)
 
 
+def _smooth_length(m):
+    """The least 2^a 3^b 5^c >= m, a length numpy.fft transforms quickly."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < m:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _use_fft(sys, j, npoints):
+    """The cost rule: the FFT evaluator (3-term ap, odd n) when the gather
+    would read more fiber rows than FFT_COST * X log2 X."""
+    X = sys.ground.size
+    return (isinstance(sys, APSystem) and sys.k == 3 and sys.n % 2 == 1
+            and npoints * sys.fiber_size(j) > FFT_COST * X * math.log2(X))
+
+
+def _fft_means(sys, j, arrs, points):
+    """conv_j at points on the 3-term ap system over odd n, read off one
+    cyclic convolution (*, mod n) of the whole of X:
+
+      conv_2(g,h)(x) = [(g*h)(2x) - g(x)h(x)] / (n-1)
+      conv_1(g,h)(x) = [(A*B)(x) - g(x)h(x)] / (n-1),  A(w) = g(w/2), B(v) = h(-v)
+      conv_3(g,h) = conv_1(h,g)
+
+    The subtracted product is the d = 0 term; with allow_d0 it stays and the
+    divisor is n.  The cyclic convolution is the linear one, padded to a
+    5-smooth length and folded mod n."""
+    n = sys.n
+    g, h = arrs
+    if j == 2:
+        a, b, at = g, h, 2 * points % n
+    else:
+        if j == 3:
+            g, h = h, g
+        half, neg = sys.halve_negate
+        a, b, at = g[half], h[neg], points
+    L = _smooth_length(2 * n - 1)
+    lin = np.fft.irfft(np.fft.rfft(a, L) * np.fft.rfft(b, L), L)
+    cyc = lin[:n]
+    cyc[:n - 1] += lin[n:2 * n - 1]
+    if sys.allow_d0:
+        return cyc[at] / n
+    return (cyc[at] - g[points] * h[points]) / (n - 1)
+
+
 def convolve(sys: SequenceSystem, j: int, funcs, xs=None,
              guard=ENUM_GUARD) -> ConvolutionResult:
     """conv_j of k-1 functions (increasing position order, position j skipped).
@@ -120,17 +180,19 @@ def convolve(sys: SequenceSystem, j: int, funcs, xs=None,
         points = np.asarray(xs, dtype=np.int64).reshape(-1)
         if points.size and (points.min() < 0 or points.max() >= X):
             raise ValueError("convolution points out of range")
+    means = _fft_means if _use_fft(sys, j, points.size) else _fiber_means
     return ConvolutionResult(j, None if xs is None else points,
-                             _fiber_means(sys, j, arrs, points))
+                             means(sys, j, arrs, points))
 
 
 def capped_convolve(sys, j, funcs, xs=None,
                     guard=ENUM_GUARD) -> ConvolutionResult:
-    """min(conv_j, 2); arguments must be non-negative."""
+    """conv_j clipped to [0, 2]; arguments must be non-negative.  The lower
+    clip removes FFT round-off below an exact zero."""
     if any(f.dense().min() < 0 for f in funcs):
         raise ValueError("capped convolution needs non-negative arguments")
     res = convolve(sys, j, funcs, xs, guard)
-    res.values = np.minimum(res.values, CAP)
+    res.values = np.clip(res.values, 0.0, CAP)
     return res
 
 

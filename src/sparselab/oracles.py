@@ -431,8 +431,8 @@ def tuples_within(sys: SequenceSystem, U, guard=10 ** 7):
     ap completes each a in U against U minus a in bulk (b = s_2 ascending);
     the other sequence kinds keep the rows of the fiber S_1(a) that lie in U;
     copy systems backtrack vertex images over the sub-host spanned by U.
-    The guard bounds |U|^2 completions on two-degrees-of-freedom kinds and
-    the fiber rows scanned on the rest.
+    The guard bounds what each branch does: |U|^2 completions in bulk, the
+    fiber rows scanned (|U|.|S_1|) otherwise.
     """
     U = sorted(int(u) for u in U)
     out = []
@@ -444,14 +444,14 @@ def tuples_within(sys: SequenceSystem, U, guard=10 ** 7):
             out.append(tuple(sys.edge_rank([phi[u] for u in e])
                              for e in K.edges))
         return out
-    if sys.claims_two_dof and len(U) ** 2 > guard:
+    bulk = hasattr(sys, "complete_pairs_bulk")
+    if bulk and len(U) ** 2 > guard:
         raise ValueError(
             f"support enumeration needs {len(U) ** 2} completions "
             f"(|U|^2), over the guard {guard}")
     inside = np.zeros(sys.ground.size, dtype=bool)
     inside[U] = True
     members = np.array(U, dtype=np.int64)
-    bulk = hasattr(sys, "complete_pairs_bulk")
     rows_seen = 0
     for a in U:
         if bulk:
@@ -459,10 +459,10 @@ def tuples_within(sys: SequenceSystem, U, guard=10 ** 7):
         else:
             rows = sys.fiber_matrix(1, a)
             rows_seen += rows.shape[0]
-            if not sys.claims_two_dof and rows_seen > guard:
+            if rows_seen > guard:
                 raise ValueError(
-                    f"support enumeration needs more than {rows_seen - 1} "
-                    f"fiber rows, over the guard {guard}")
+                    f"support enumeration scans at least {rows_seen} fiber "
+                    f"rows (|U||S_1|, |U| = {len(U)}), over the guard {guard}")
         keep = inside[rows].all(axis=1) & (rows[:, 0] != rows[:, 1])
         out.extend(map(tuple, rows[keep].tolist()))
     return out

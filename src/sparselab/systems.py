@@ -366,6 +366,14 @@ class APSystem(_Progressions):
         offs = np.arange(1, self.k + 1, dtype=np.int64) - i
         return (a + np.outer(d, offs)) % self.n, bs
 
+    @functools.cached_property
+    def halve_negate(self):
+        """The index maps w -> w/2 and v -> -v mod n (odd n only), built on
+        first use: A = g[half] is A(w) = g(w/2) and B = h[neg] is B(v) = h(-v).
+        """
+        idx = np.arange(self.n, dtype=np.int64)
+        return idx * pow(2, -1, self.n) % self.n, -idx % self.n
+
     def descriptor(self):
         return {"kind": "ap", "n": self.n, "k": self.k, "allow_d0": self.allow_d0}
 

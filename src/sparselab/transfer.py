@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
-from scipy.optimize import linprog
 
 from .conv import count_functional, split_capped_count
 from .core import GroundSet, WeightFunction, expectation, inner_product
@@ -157,6 +156,8 @@ def solve_dense_model(f: WeightFunction, family: AntiUniformFamily,
     Variables (g, t); two rows per family member.  achieved_norm comes from
     a final exact pass, never from the solver's objective.
     """
+    from scipy.optimize import linprog  # scipy loads only when an LP runs
+
     fd = f.dense()
     if fd.min() < 0:
         raise ValueError("dense-model input must be nonnegative")
@@ -210,6 +211,8 @@ def solve_dense_model_colouring(fs, family: AntiUniformFamily,
                                 eps=0.0) -> ColouringModelResult:
     """Coupled solves: min t s.t. |<f_i/(1+eps) - g_i, phi>| <= t for all i
     and phi, with the pointwise budget g_1 + ... + g_r <= 1."""
+    from scipy.optimize import linprog
+
     r = len(fs)
     if r < 1:
         raise ValueError("need at least one function")

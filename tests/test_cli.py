@@ -1,11 +1,14 @@
 """CLI behaviour: exit codes, output schema, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sparselab
 from sparselab.cli import (CSV_COLUMNS, SweepConfig, main, run_sweep)
 
 
@@ -209,3 +212,17 @@ def test_console_script_help():
     for sub in ["verify-system", "properties", "conditions", "sweep",
                 "dense-model", "oracle"]:
         assert sub in proc.stdout
+
+
+def test_import_does_not_load_scipy():
+    # scipy loads only when an LP runs; the import costs about 0.6 s and
+    # 49 MB in every process
+    src = str(Path(sparselab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, sparselab.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

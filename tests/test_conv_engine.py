@@ -2,7 +2,9 @@
 
 The engine is checked against the stdlib oracles in bruteforce.py on every
 system kind, and on the translation-invariant kinds against the per-point
-fiber loop it replaced, bit for bit.
+fiber loop it replaced, bit for bit.  The bit-identity tests call the engine
+(conv._fiber_means) directly, since convolve hands 3-term ap points above the
+FFT crossover to the FFT evaluator (tests/test_conv_fft.py).
 """
 
 import functools
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparselab import systems
-from sparselab.conv import convolve, count_functional
+from sparselab.conv import _fiber_means, convolve, count_functional
 from sparselab.core import WeightFunction
 from sparselab.systems import (APSystem, CopySystem, HomothetySystem,
                                IntervalAPSystem, PatternHypergraph,
@@ -111,10 +113,10 @@ def test_engine_matches_bruteforce(name, data):
 def test_engine_bit_identical_to_per_point_loop(name, data):
     sys, _ = _kind(name)
     j, arrs, xs, chunk = data.draw(conv_case(name))
-    funcs = [WeightFunction(sys.ground, values=a) for a in arrs]
+    points = np.arange(sys.ground.size) if xs is None else np.array(
+        xs, dtype=np.int64)
     with mock.patch.object(systems, "CHUNK_ELEMENTS", chunk):
-        got = convolve(sys, j, funcs, xs=xs).values
-    points = np.arange(sys.ground.size) if xs is None else xs
+        got = _fiber_means(sys, j, arrs, points)
     assert np.array_equal(got, per_point_reference(sys, j, arrs, points))
 
 
@@ -126,11 +128,9 @@ def test_engine_bit_identical_at_scale(sys):
     rng = np.random.default_rng(sys.n)
     X = sys.ground.size
     arrs = [rng.uniform(0, 3, X) for _ in range(sys.k - 1)]
-    funcs = [WeightFunction(sys.ground, values=a) for a in arrs]
     for j in range(1, sys.k + 1):
-        xs = None if X < 2000 else rng.integers(0, X, size=48)
-        got = convolve(sys, j, funcs, xs=xs).values
-        points = np.arange(X) if xs is None else xs
+        points = np.arange(X) if X < 2000 else rng.integers(0, X, size=48)
+        got = _fiber_means(sys, j, arrs, points)
         assert np.array_equal(got, per_point_reference(sys, j, arrs, points))
 
 

@@ -343,6 +343,19 @@ def test_tuples_within_guard_states_its_cost():
     assert len(tuples_within(sys, range(20), guard=400)) == 2 * 10 * 9
 
 
+def test_tuples_within_guard_counts_scanned_fiber_rows():
+    # schur claims two degrees of freedom but has no bulk completion, so it
+    # scans |U||S_1| = 30 * 98 rows: over a guard of 2000 though |U|^2 = 900
+    sys = SchurSystem(101)
+    U = range(1, 31)
+    assert sys.fiber_size(1) == 98
+    with pytest.raises(ValueError, match=r"scans at least 2058 fiber rows "
+                                         r".*\|U\| = 30.*guard 2000"):
+        tuples_within(sys, U, guard=2000)
+    assert len(tuples_within(sys, U, guard=30 * 98)) == len(
+        tuples_within(sys, U))
+
+
 class FiberOnlyAP(SequenceSystem):
     """An ap system seen only through its fibers (no bulk completion)."""
 
