@@ -22,7 +22,6 @@ from .systems import (EnumerationGuardError, PatternHypergraph, SequenceSystem,
 from .transfer import (approx_positive_part, build_family, round_to_indicator,
                        solve_dense_model, solve_dense_model_colouring,
                        verify_counting_lemma)
-from .verify import (check_conditions, check_properties, sample_anti_uniform,
-                     tail_bound)
+from .verify import check_conditions, check_properties, sample_anti_uniform
 
 __version__ = "0.1.0"

@@ -16,9 +16,14 @@ k-1 argument arrays are gathered from it, multiplied and reduced per point.
 On 3-term progressions over odd n, convolve has a second evaluator: conv_j
 is a cyclic convolution once one argument is dilated by 2^{-1} (Tao & Vu,
 Additive Combinatorics, ch. 4), so one padded real FFT gives it at every x.
-convolve takes the FFT when the gather would read more fiber rows
-(|points| |S_j|) than FFT_COST * X log2 X; the measured crossovers were about
-14-20 points at n = 10007, 14-16 at n = 1009 and 28-40 at n = 101.
+
+convolve also takes stacked (B, X) arguments, B evaluations in one call;
+the FFT transforms them in chunks under BATCH_ELEMENTS, the gather row by
+row.  For B rows the FFT is taken when the gather would read more fiber
+rows, B |points| |S_j|, than FFT_FIXED + B * FFT_COST * X log2 X (a cost per
+call plus one per row).  For one row that switches at 38, 14 and 15 points
+at n = 101, 1009 and 10007; interleaved timings put the crossover at about
+36, 8-12 and 15-16.  256 rows at n = 101 switch at 8 points.
 
 Counting supports three evaluation modes:
 
@@ -33,6 +38,7 @@ Counting supports three evaluation modes:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,17 +49,25 @@ from .systems import (ENUM_GUARD, APSystem, CopySystem,
                       EnumerationGuardError, SequenceSystem)
 
 CAP = 2.0
-FFT_COST = 1.5
+# the FFT's cost in gather rows: FFT_FIXED per call, FFT_COST X log2 X per row
+FFT_FIXED = 3000
+FFT_COST = 1.1
+# transform elements (rows x padded length) per FFT chunk
+BATCH_ELEMENTS = 2 ** 16
 
 
 def _dense_list(sys, funcs, expect):
+    """Argument arrays: a WeightFunction's values, or an (X,) or (B, X) array."""
     if len(funcs) != expect:
         raise ValueError(f"need {expect} functions, got {len(funcs)}")
     out = []
     for f in funcs:
-        if f.domain != sys.ground:
+        if isinstance(f, WeightFunction) and f.domain != sys.ground:
             raise ValueError("function domain does not match the system")
-        out.append(f.dense())
+        a = f.dense() if isinstance(f, WeightFunction) else np.asarray(f, float)
+        if a.ndim not in (1, 2) or a.shape[-1] != sys.ground.size:
+            raise ValueError("argument arrays must be (X,) or (B, X)")
+        out.append(a)
     return out
 
 
@@ -64,8 +78,9 @@ class ConvolutionResult:
     values: np.ndarray
 
     def function(self, domain) -> WeightFunction:
-        if self.at is not None:
-            raise ValueError("partial evaluation; no full function available")
+        if self.at is not None or self.values.ndim != 1:
+            raise ValueError("partial or batched evaluation; no single "
+                             "function available")
         return WeightFunction(domain, values=self.values)
 
     def max(self):
@@ -106,6 +121,7 @@ def _fiber_means(sys, j, arrs, points):
                      where=counts > 0)
 
 
+@functools.cache
 def _smooth_length(m):
     """The least 2^a 3^b 5^c >= m, a length numpy.fft transforms quickly."""
     best = 1 << (m - 1).bit_length()
@@ -122,17 +138,20 @@ def _smooth_length(m):
     return best
 
 
-def _use_fft(sys, j, npoints):
-    """The cost rule: the FFT evaluator (3-term ap, odd n) when the gather
-    would read more fiber rows than FFT_COST * X log2 X."""
+def _use_fft(sys, j, npoints, rows=1):
+    """The cost rule for `rows` stacked evaluations: the FFT (3-term ap, odd
+    n) when the gather would read more fiber rows than FFT_FIXED + rows *
+    FFT_COST * X log2 X."""
     X = sys.ground.size
     return (isinstance(sys, APSystem) and sys.k == 3 and sys.n % 2 == 1
-            and npoints * sys.fiber_size(j) > FFT_COST * X * math.log2(X))
+            and rows * npoints * sys.fiber_size(j)
+            > FFT_FIXED + rows * FFT_COST * X * math.log2(X))
 
 
 def _fft_means(sys, j, arrs, points):
-    """conv_j at points on the 3-term ap system over odd n, read off one
-    cyclic convolution (*, mod n) of the whole of X:
+    """conv_j at points on the 3-term ap system over odd n, for (X,) or
+    stacked (B, X) arguments, read off one cyclic convolution (*, mod n) of
+    the whole of X per row:
 
       conv_2(g,h)(x) = [(g*h)(2x) - g(x)h(x)] / (n-1)
       conv_1(g,h)(x) = [(A*B)(x) - g(x)h(x)] / (n-1),  A(w) = g(w/2), B(v) = h(-v)
@@ -140,30 +159,51 @@ def _fft_means(sys, j, arrs, points):
 
     The subtracted product is the d = 0 term; with allow_d0 it stays and the
     divisor is n.  The cyclic convolution is the linear one, padded to a
-    5-smooth length and folded mod n."""
+    5-smooth length and folded mod n.  Stacked rows go in chunks of
+    BATCH_ELEMENTS // length; each row's values equal a one-row call's."""
     n = sys.n
     g, h = arrs
-    if j == 2:
-        a, b, at = g, h, 2 * points % n
-    else:
-        if j == 3:
-            g, h = h, g
-        half, neg = sys.halve_negate
-        a, b, at = g[half], h[neg], points
+    if j == 3:
+        g, h = h, g
+    at = 2 * points % n if j == 2 else points
     L = _smooth_length(2 * n - 1)
-    lin = np.fft.irfft(np.fft.rfft(a, L) * np.fft.rfft(b, L), L)
-    cyc = lin[:n]
-    cyc[:n - 1] += lin[n:2 * n - 1]
-    if sys.allow_d0:
-        return cyc[at] / n
-    return (cyc[at] - g[points] * h[points]) / (n - 1)
+    step = max(1, BATCH_ELEMENTS // L)
+    out = np.empty(g.shape[:-1] + points.shape)
+    for lo in range(0, len(g) if g.ndim == 2 else 1, step):
+        rows = slice(lo, lo + step) if g.ndim == 2 else ...
+        a, b = gs, hs = g[rows], h[rows]
+        if j != 2:
+            half, neg = sys.halve_negate
+            a, b = np.take(gs, half, axis=-1), np.take(hs, neg, axis=-1)
+        lin = np.fft.irfft(np.fft.rfft(a, L) * np.fft.rfft(b, L), L)
+        cyc = lin[..., :n]
+        cyc[..., :n - 1] += lin[..., n:2 * n - 1]
+        if sys.allow_d0:
+            out[rows] = cyc[..., at] / n
+        else:
+            out[rows] = ((cyc[..., at] - gs[..., points] * hs[..., points])
+                         / (n - 1))
+    return out
+
+
+def _means(sys, j, arrs, points):
+    """conv_j at points by the evaluator the cost rule picks."""
+    stacked = bool(arrs) and arrs[0].ndim == 2
+    if _use_fft(sys, j, points.size, len(arrs[0]) if stacked else 1):
+        return _fft_means(sys, j, arrs, points)
+    if not stacked:
+        return _fiber_means(sys, j, arrs, points)
+    return np.array([_fiber_means(sys, j, list(row), points)
+                     for row in zip(*arrs)]).reshape(-1, points.size)
 
 
 def convolve(sys: SequenceSystem, j: int, funcs, xs=None,
              guard=ENUM_GUARD) -> ConvolutionResult:
     """conv_j of k-1 functions (increasing position order, position j skipped).
 
-    xs=None evaluates at every x (guarded), else only at the given indices
+    Arguments are WeightFunctions or arrays over X; with (B, X) arrays the
+    values are (B, |points|), row r from row r of every argument.  xs=None
+    evaluates at every x (guarded per row), else only at the given indices
     (repeats allowed).
     """
     if not 1 <= j <= sys.k:
@@ -180,18 +220,20 @@ def convolve(sys: SequenceSystem, j: int, funcs, xs=None,
         points = np.asarray(xs, dtype=np.int64).reshape(-1)
         if points.size and (points.min() < 0 or points.max() >= X):
             raise ValueError("convolution points out of range")
-    means = _fft_means if _use_fft(sys, j, points.size) else _fiber_means
+    if len({a.shape for a in arrs}) > 1:
+        raise ValueError("arguments must all be (X,) or all the same (B, X)")
     return ConvolutionResult(j, None if xs is None else points,
-                             means(sys, j, arrs, points))
+                             _means(sys, j, arrs, points))
 
 
 def capped_convolve(sys, j, funcs, xs=None,
                     guard=ENUM_GUARD) -> ConvolutionResult:
     """conv_j clipped to [0, 2]; arguments must be non-negative.  The lower
     clip removes FFT round-off below an exact zero."""
-    if any(f.dense().min() < 0 for f in funcs):
+    arrs = _dense_list(sys, funcs, sys.k - 1)
+    if any(a.size and a.min() < 0 for a in arrs):
         raise ValueError("capped convolution needs non-negative arguments")
-    res = convolve(sys, j, funcs, xs, guard)
+    res = convolve(sys, j, arrs, xs, guard)
     res.values = np.clip(res.values, 0.0, CAP)
     return res
 
@@ -359,12 +401,16 @@ def split_capped_count(sys: SequenceSystem, fs, mode="exact", tuple_samples=0,
         if work > guard:
             raise EnumerationGuardError(
                 f"exact split count needs {work} rows; use mode='mc'")
+        combos = list(np.ndindex(*([m] * (k - 1))))
+        stacks = [np.array([arrs[c[slot]] for c in combos])
+                  for slot in range(k - 1)]
+        # k = 1 stacks nothing: one combination, a 1-D result
+        res = capped_convolve(sys, 1, stacks, guard=guard)
         total = 0.0
-        for combo in np.ndindex(*([m] * (k - 1))):
-            res = capped_convolve(sys, 1, [fs[c] for c in combo], guard=guard)
-            total += inner_product(fbar, res.function(sys.ground))
-        n_tuples = m ** (k - 1)
-        return total / n_tuples, 0.0, {"mode": "exact", "tuples": n_tuples}
+        for row in np.atleast_2d(res.values):
+            total += inner_product(fbar, WeightFunction(sys.ground, values=row))
+        return total / len(combos), 0.0, {"mode": "exact",
+                                          "tuples": len(combos)}
     if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
     if tuple_samples <= 0 or x_samples <= 0:

@@ -236,13 +236,6 @@ class WeightFunction:
                             dtype=np.int64)
         return np.nonzero(self._dense)[0].astype(np.int64)
 
-    def map_values(self, fn):
-        """New function with fn applied pointwise (fn must map 0 to 0 for sparse)."""
-        if self._dense is not None:
-            return WeightFunction(self.domain, values=fn(self._dense))
-        return WeightFunction(self.domain,
-                              sparse={i: fn(v) for i, v in self._sparse.items()})
-
     # --- serialization ---------------------------------------------------
 
     def to_json(self):

@@ -14,7 +14,6 @@ Python versions regardless of PYTHONHASHSEED.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,10 +33,15 @@ def _mix64(z):
 
 
 def uniform01(seed, indices):
-    """Uniform [0,1) draw per index, keyed by (seed, index) only."""
+    """Uniform [0,1) draw per index, keyed by (seed, index) only.  A sequence
+    of seeds gives one row per seed, equal to that seed's own call."""
     idx = np.asarray(indices, dtype=np.uint64)
-    keyed = _mix64(idx ^ _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))
-    return (keyed >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    one = isinstance(seed, (int, np.integer))
+    keys = np.array([int(s) & 0xFFFFFFFFFFFFFFFF for s in
+                     ([seed] if one else seed)], dtype=np.uint64)
+    keyed = _mix64(idx ^ _mix64(keys[:, None]))
+    draws = (keyed >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    return draws[0] if one else draws
 
 
 def stable_hash(*parts):
@@ -143,27 +147,3 @@ def restrict_translated(f: WeightFunction, subset, a: int) -> WeightFunction:
     v = np.zeros(f.domain.size)
     v[shifted] = scale * f.dense()[shifted]
     return WeightFunction(f.domain, values=v)
-
-
-# --- set serialization: one JSON header line, then one index per line -----
-
-def save_set(path, domain: GroundSet, subset, p=None, seed=None):
-    idx = np.asarray(subset, dtype=np.int64)
-    with open(path, "w") as fh:
-        header = {"domain": domain.to_json(), "size": int(idx.size)}
-        if p is not None:
-            header["p"] = p
-        if seed is not None:
-            header["seed"] = seed
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for i in idx:
-            fh.write(f"{int(i)}\n")
-
-
-def load_set(path):
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        idx = np.array([int(line) for line in fh if line.strip()], dtype=np.int64)
-    if idx.size != header["size"]:
-        raise ValueError(f"corrupt set file {path}: size mismatch")
-    return GroundSet.from_json(header["domain"]), idx, header

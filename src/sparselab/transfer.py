@@ -22,9 +22,9 @@ from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
 
 from .conv import count_functional, split_capped_count
-from .core import GroundSet, WeightFunction, expectation, inner_product
+from .core import GroundSet, WeightFunction
 from .sample import derive_seed, uniform01
-from .verify import sample_anti_uniform
+from .verify import anti_uniform_matrix
 
 _G_CONSTANTS = (1.0, 0.75, 0.5, 0.25)
 
@@ -32,43 +32,28 @@ _G_CONSTANTS = (1.0, 0.75, 0.5, 0.25)
 @dataclass
 class AntiUniformFamily:
     domain: GroundSet
-    members: list                    # WeightFunction, constant 1 first
+    values: np.ndarray               # (len, |X|) member values, constant 1 first
     descriptors: list                # one dict per member
     provenance: dict = field(default_factory=dict)
 
     def __len__(self):
-        return len(self.members)
+        return self.values.shape[0]
+
+    @property
+    def members(self):
+        """The members as WeightFunctions."""
+        return [WeightFunction(self.domain, values=row) for row in self.values]
 
     def matrix(self) -> np.ndarray:
-        """Member values stacked into a (len, |X|) array (cached)."""
-        cached = getattr(self, "_matrix", None)
-        if cached is None or cached.shape[0] != len(self.members):
-            cached = np.stack([m.dense() for m in self.members])
-            self._matrix = cached
-        return cached
+        """Member values stacked into a (len, |X|) array."""
+        return self.values
 
     def prefix(self, size) -> "AntiUniformFamily":
-        if not 1 <= size <= len(self.members):
+        if not 1 <= size <= len(self):
             raise ValueError("prefix size out of range")
-        return AntiUniformFamily(self.domain, self.members[:size],
+        return AntiUniformFamily(self.domain, self.values[:size],
                                  self.descriptors[:size],
                                  dict(self.provenance, prefix=size))
-
-
-def _structured_profiles(k, m):
-    """Deterministic enumeration of (j, indices, g constant) profiles.
-
-    j = 1 has no bounded slots, so the g constant is emitted only once.
-    """
-    out = []
-    for j in range(1, k + 1):
-        for tup in itertools.permutations(range(1, m + 1), k - j):
-            if j == 1:
-                out.append((j, tup, None))
-            else:
-                for c in _G_CONSTANTS:
-                    out.append((j, tup, c))
-    return out
 
 
 def build_family(sys, ensemble, size, sets=None, seed=0) -> AntiUniformFamily:
@@ -76,46 +61,44 @@ def build_family(sys, ensemble, size, sets=None, seed=0) -> AntiUniformFamily:
 
     Construction order is deterministic given the seed, and families of different
     sizes with the same seed agree on their common prefix.  Supplied sets
-    become indicator members appended beyond `size`.
+    become indicator members appended beyond `size`.  Every profile is drawn
+    first; the members are then made in one anti_uniform_matrix pass.
     """
     if size < 1:
         raise ValueError("family size must be at least 1")
     domain = sys.ground
-    members = [WeightFunction.constant(domain, 1.0)]
-    descriptors = [{"kind": "constant"}]
-    for j, tup, c in _structured_profiles(sys.k, ensemble.m):
-        if len(members) >= size:
-            break
-        if c is None:
-            phi = sample_anti_uniform(sys, ensemble, j, tup, seed=seed)
-            desc = {"kind": "basic", "j": j, "indices": list(tup)}
-        else:
-            phi = sample_anti_uniform(sys, ensemble, j, tup,
-                                      g_mode="constant", g_value=c, seed=seed)
-            desc = {"kind": "basic", "j": j, "indices": list(tup),
-                    "g_constant": c}
-        members.append(phi.function)
-        descriptors.append(desc)
+    profiles, descriptors = [], [{"kind": "constant"}]
+    for j in range(1, sys.k + 1):
+        for tup in itertools.permutations(range(1, ensemble.m + 1), sys.k - j):
+            # j = 1 has no bounded slot, so it comes once, with no g constant
+            for c in ((None,) if j == 1 else _G_CONSTANTS):
+                profiles.append((j, tup, "constant", c, "full", seed))
+                descriptors.append({"kind": "basic", "j": j,
+                                    "indices": list(tup)}
+                                   | ({} if c is None else {"g_constant": c}))
+    del profiles[size - 1:], descriptors[size:]
     idx = 0
-    while len(members) < size:
-        rng = np.random.default_rng(derive_seed(seed, "family", idx))
+    while len(profiles) < size - 1:
+        member_seed = derive_seed(seed, "family", idx)
+        rng = np.random.default_rng(member_seed)
         j = int(rng.integers(1, sys.k + 1))
         tup = tuple(int(v) for v in rng.permutation(ensemble.m)[: sys.k - j] + 1)
         g_value = float(rng.uniform(0.25, 1.0))
         f_mode = "masked" if rng.uniform() < 0.5 else "full"
-        phi = sample_anti_uniform(sys, ensemble, j, tup,
-                                  g_mode="random_indicator", g_value=g_value,
-                                  f_mode=f_mode,
-                                  seed=derive_seed(seed, "family", idx))
-        members.append(phi.function)
+        profiles.append((j, tup, "random_indicator", g_value, f_mode,
+                         member_seed))
         descriptors.append({"kind": "basic", "j": j, "indices": list(tup),
                             "g_density": g_value, "f_mode": f_mode})
         idx += 1
+    rows = [np.ones((1, domain.size)),
+            anti_uniform_matrix(sys, ensemble, profiles)]
     for V in (sets or []):
-        members.append(WeightFunction.indicator(domain, V))
+        rows.append(WeightFunction.indicator(domain, V).dense()[None, :])
         descriptors.append({"kind": "indicator",
                             "size": int(np.asarray(V).size)})
-    return AntiUniformFamily(domain, members, descriptors,
+    values = np.concatenate(rows)
+    values.flags.writeable = False
+    return AntiUniformFamily(domain, values, descriptors,
                              provenance={"size": size, "seed": seed,
                                          "system": sys.descriptor(),
                                          "ensemble_seed": ensemble.master_seed,
@@ -124,7 +107,7 @@ def build_family(sys, ensemble, size, sets=None, seed=0) -> AntiUniformFamily:
 
 def antiuniform_norm(h: WeightFunction, family: AntiUniformFamily) -> float:
     """max over members of |<h, phi>|."""
-    if not family.members:
+    if not len(family):
         raise ValueError("family is empty")
     vals = family.matrix() @ h.dense() / family.domain.size
     return float(np.abs(vals).max())

@@ -33,9 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conv import CAP, capped_convolve, convolve, w_kernel
-from .core import WeightFunction, expectation, inner_product, lp_norm
-from .sample import derive_seed, sample_ensemble, sample_subset
-from .systems import ENUM_GUARD, SequenceSystem
+from .core import WeightFunction, inner_product, lp_norm
+from .sample import derive_seed, sample_ensemble, uniform01
+from .systems import SequenceSystem
 
 # full-X convolution evaluation is used below this much fiber work
 EXACT_FULL_GUARD = 4 * 10 ** 6
@@ -83,14 +83,10 @@ def _full_eval_ok(sys, guard=EXACT_FULL_GUARD):
 
 def sample_anti_uniform(sys: SequenceSystem, ensemble, j, indices,
                         g_mode="random_indicator", g_value=0.5,
-                        f_mode="full", seed=0, supplied_g=None,
+                        f_mode="full", seed=0,
                         guard=EXACT_FULL_GUARD) -> BasicAntiUniform:
-    """One basic anti-uniform function, evaluated on all of X.
-
-    Leading slots (positions < j) hold [0,1]-bounded g's chosen by g_mode;
-    trailing slots hold f's with 0 <= f <= mu_i for the given distinct
-    ensemble indices.
-    """
+    """One basic anti-uniform function, evaluated on all of X: the one row
+    of anti_uniform_matrix for this profile."""
     k = sys.k
     if not 1 <= j <= k:
         raise ValueError(f"position j={j} out of range")
@@ -101,36 +97,60 @@ def sample_anti_uniform(sys: SequenceSystem, ensemble, j, indices,
         raise ValueError("ensemble indices in a profile must be distinct")
     if any(not 1 <= i <= ensemble.m for i in indices):
         raise ValueError("ensemble index out of range")
-    if not _full_eval_ok(sys, guard):
+    if (g_mode not in ("constant", "random_indicator")
+            or f_mode not in ("full", "masked")
+            or g_mode == "random_indicator" and not 0 <= g_value <= 1):
+        raise ValueError(f"bad g_mode {g_mode!r}, g_value {g_value!r} or "
+                         f"f_mode {f_mode!r}")
+    row = anti_uniform_matrix(
+        sys, ensemble, [(j, indices, g_mode, g_value, f_mode, seed)], guard)
+    return BasicAntiUniform(WeightFunction(sys.ground, values=row[0]), j,
+                            indices, g_mode,
+                            detail={"f_mode": f_mode, "seed": seed})
+
+
+def anti_uniform_matrix(sys: SequenceSystem, ensemble, profiles,
+                        guard=EXACT_FULL_GUARD) -> np.ndarray:
+    """Basic anti-uniform functions on all of X, one row per valid profile
+    (j, indices, g_mode, g_value, f_mode, seed): capped conv_j with g's in
+    the positions before j -- the constant g_value, or ("random_indicator")
+    a density-g_value random subset seeded derive_seed(seed, "g", slot) --
+    and mu_i trailing, masked (f_mode "masked") by a density-3/4 subset
+    seeded derive_seed(seed, "f", slot).  All subsets come from one
+    uniform01 call; each j is one capped convolution of (B, X) stacks."""
+    k, X = sys.k, sys.ground.size
+    if profiles and not _full_eval_ok(sys, guard):
         raise ValueError("system too large for full anti-uniform evaluation; "
                          "evaluate through check_properties with sampled x")
-    domain = sys.ground
-    gs = []
-    for slot in range(j - 1):
-        if g_mode == "constant":
-            gs.append(WeightFunction.constant(domain, g_value))
-        elif g_mode == "random_indicator":
-            sub = sample_subset(domain, g_value, derive_seed(seed, "g", slot))
-            gs.append(WeightFunction.indicator(domain, sub))
-        elif g_mode == "supplied":
-            gs.append(supplied_g[slot])
-        else:
-            raise ValueError(f"unknown g_mode {g_mode!r}")
-    fs = []
-    for slot, i in enumerate(indices):
-        mu = ensemble.associated_measure(i)
-        if f_mode == "full":
-            fs.append(mu)
-        elif f_mode == "masked":
-            keep = sample_subset(domain, 0.75, derive_seed(seed, "f", slot))
-            mask = np.zeros(domain.size)
-            mask[keep] = 1.0
-            fs.append(WeightFunction(domain, values=mu.dense() * mask))
-        else:
-            raise ValueError(f"unknown f_mode {f_mode!r}")
-    res = capped_convolve(sys, j, gs + fs)
-    return BasicAntiUniform(res.function(domain), j, indices, g_mode,
-                            detail={"f_mode": f_mode, "seed": seed})
+    mus = {i: ensemble.associated_measure(i).dense()
+           for i in sorted({i for p in profiles for i in p[1]})}
+    seeds, densities, args = [], [], []
+    for j, indices, g_mode, g_value, f_mode, seed in profiles:
+        # (value, drawn?, seed label, density) per slot; a drawn slot is
+        # its value times a row of random-subset indicators
+        g_drawn = g_mode == "random_indicator"
+        slots = [(1.0 if g_drawn else g_value, g_drawn, ("g", slot), g_value)
+                 for slot in range(j - 1)]
+        slots += [(mus[i], f_mode == "masked", ("f", slot), 0.75)
+                  for slot, i in enumerate(indices)]
+        row = []
+        for base, drawn, label, density in slots:
+            row.append((base, len(seeds) if drawn else None))
+            if drawn:
+                seeds.append(derive_seed(seed, *label))
+                densities.append(density)
+        args.append(row)
+    hits = (uniform01(seeds, np.arange(X))
+            < np.array(densities)[:, None]).astype(float)
+    out = np.empty((len(profiles), X))
+    for j in sorted({p[0] for p in profiles}):
+        group = [r for r, p in enumerate(profiles) if p[0] == j]
+        stacks = np.empty((k - 1, len(group), X))
+        for t, r in enumerate(group):
+            for slot, (base, d) in enumerate(args[r]):
+                stacks[slot, t] = base if d is None else base * hits[d]
+        out[group] = capped_convolve(sys, j, list(stacks)).values
+    return out
 
 
 def check_properties(sys: SequenceSystem, ensemble, which=(0, 1, 2, 3),
@@ -427,32 +447,3 @@ def jr_two_edge_bound(pattern, e1, e2, n, p, gamma, c=1.0):
     value = 2.0 * n ** pattern.num_vertices * math.exp(-c * score)
     return value, {"min_exponent": score, "edge_subset": list(subset),
                    "v_L": v_L, "expected_rooted_copies": ey, "h": h}
-
-
-def tail_bound(kind, **params):
-    """Dispatcher used by the CLI; returns {"kind", "value", ...extras}."""
-    if kind == "chernoff":
-        return {"kind": kind, "value": chernoff_bound(
-            params["delta"], params["p"], params["size"])}
-    if kind == "bernstein":
-        return {"kind": kind, "value": bernstein_bound(
-            params["t"], params["M"], params["var_sum"])}
-    if kind == "correlation":
-        return {"kind": kind, "value": correlation_bound(
-            params["lam"], params["p"], params["size"], params["C"])}
-    if kind == "azuma":
-        return {"kind": kind, "value": azuma_bound(
-            params["lam"], params["c"], params["t"])}
-    if kind == "capped-excess":
-        return {"kind": kind, "value": capped_excess_eta(params["alpha"])}
-    if kind == "jr-rooted":
-        value, info = jr_rooted_bound(params["pattern"], params["root"],
-                                      params["n"], params["p"],
-                                      params.get("c", 1.0))
-        return {"kind": kind, "value": value, **info}
-    if kind == "jr-two-edge":
-        value, info = jr_two_edge_bound(params["pattern"], params["e1"],
-                                        params["e2"], params["n"], params["p"],
-                                        params["gamma"], params.get("c", 1.0))
-        return {"kind": kind, "value": value, **info}
-    raise ValueError(f"unknown tail bound kind {kind!r}")

@@ -236,3 +236,81 @@ def ref_min_mono_local_search(tuples_, size, r, budget, rng):
         if best == 0:
             break
     return best, witness
+
+
+# --- reference copy of the per-member family loop -------------------------
+#
+# build_family used to make each member with its own sample_anti_uniform
+# call: one sample_subset per random g slot and per mask, one associated
+# measure per f slot and one capped convolution.  That loop is kept here as
+# the reference the one-pass build must equal bit for bit.  It takes the
+# package from the caller (`sl`), so this file still imports nothing from
+# sparselab; it needs numpy for the arrays the package works on.
+
+def ref_build_family(sl, sys, ensemble, size, sets=None, seed=0):
+    """(matrix, descriptors, provenance) of build_family, member by member."""
+    import numpy as np
+
+    WeightFunction = sl.core.WeightFunction
+    derive_seed = sl.sample.derive_seed
+    sample_subset = sl.sample.sample_subset
+    domain = sys.ground
+
+    def member(j, tup, g_mode, g_value, f_mode, member_seed):
+        gs = []
+        for slot in range(j - 1):
+            if g_mode == "constant":
+                gs.append(WeightFunction.constant(domain, g_value))
+            else:
+                sub = sample_subset(domain, g_value,
+                                    derive_seed(member_seed, "g", slot))
+                gs.append(WeightFunction.indicator(domain, sub))
+        fs = []
+        for slot, i in enumerate(tup):
+            mu = ensemble.associated_measure(i)
+            if f_mode == "masked":
+                keep = sample_subset(domain, 0.75,
+                                     derive_seed(member_seed, "f", slot))
+                mask = np.zeros(domain.size)
+                mask[keep] = 1.0
+                mu = WeightFunction(domain, values=mu.dense() * mask)
+            fs.append(mu)
+        return sl.conv.capped_convolve(sys, j, gs + fs).values
+
+    rows = [np.ones(domain.size)]
+    descriptors = [{"kind": "constant"}]
+    structured = [(j, tup, c) for j in range(1, sys.k + 1)
+                  for tup in itertools.permutations(range(1, ensemble.m + 1),
+                                                    sys.k - j)
+                  for c in ((None,) if j == 1 else (1.0, 0.75, 0.5, 0.25))]
+    for j, tup, c in structured:
+        if len(rows) >= size:
+            break
+        desc = {"kind": "basic", "j": j, "indices": list(tup)}
+        if c is None:
+            rows.append(member(j, tup, "random_indicator", 0.5, "full", seed))
+        else:
+            rows.append(member(j, tup, "constant", c, "full", seed))
+            desc["g_constant"] = c
+        descriptors.append(desc)
+    idx = 0
+    while len(rows) < size:
+        member_seed = derive_seed(seed, "family", idx)
+        rng = np.random.default_rng(member_seed)
+        j = int(rng.integers(1, sys.k + 1))
+        tup = tuple(int(v) for v in rng.permutation(ensemble.m)[: sys.k - j] + 1)
+        g_value = float(rng.uniform(0.25, 1.0))
+        f_mode = "masked" if rng.uniform() < 0.5 else "full"
+        rows.append(member(j, tup, "random_indicator", g_value, f_mode,
+                           member_seed))
+        descriptors.append({"kind": "basic", "j": j, "indices": list(tup),
+                            "g_density": g_value, "f_mode": f_mode})
+        idx += 1
+    for V in (sets or []):
+        rows.append(WeightFunction.indicator(domain, V).dense())
+        descriptors.append({"kind": "indicator",
+                            "size": int(np.asarray(V).size)})
+    provenance = {"size": size, "seed": seed, "system": sys.descriptor(),
+                  "ensemble_seed": ensemble.master_seed,
+                  "indicators": len(sets or [])}
+    return np.array(rows), descriptors, provenance

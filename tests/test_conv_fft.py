@@ -1,7 +1,7 @@
 """Tests of the FFT evaluator for 3-term progressions in conv.
 
 convolve hands ap k = 3 over odd n to conv._fft_means when the gather would
-read more fiber rows than FFT_COST * X log2 X.  The FFT values are checked
+read more fiber rows than FFT_FIXED + FFT_COST * X log2 X per row.  The FFT values are checked
 against the gather engine and against the definition of conv_j written out
 from brute-force fibers; the routing rule is checked on both sides.
 """
@@ -54,13 +54,17 @@ def test_fft_matches_gather_and_definition(n, allow_d0):
     xs = None if n <= 1009 else rng.integers(0, n, size=64)
     points = np.arange(n) if xs is None else xs
     for j in (1, 2, 3):
-        assert _use_fft(sys, j, points.size)
+        # n = 11 sits below the fixed cost of the rule: convolve gathers,
+        # and the FFT values are checked on their own
+        assert _use_fft(sys, j, points.size) == (n != 11)
+        fft = _fft_means(sys, j, arrs, points)
+        gather = _fiber_means(sys, j, arrs, points)
         got = convolve(sys, j, funcs, xs=xs).values
-        assert np.array_equal(got, _fft_means(sys, j, arrs, points))
-        _close(got, _fiber_means(sys, j, arrs, points), arrs)
+        assert np.array_equal(got, fft if n != 11 else gather)
+        _close(fft, gather, arrs)
         for t in rng.integers(0, points.size, size=6):
             x = int(points[t])
-            assert got[t] == pytest.approx(
+            assert fft[t] == pytest.approx(
                 _definition(n, j, arrs, x, allow_d0), rel=1e-12, abs=1e-12)
 
 

@@ -3,11 +3,10 @@ import pytest
 from scipy import stats
 
 from sparselab.core import GroundSet, WeightFunction, expectation, lp_norm
-from sparselab.sample import (RandomEnsemble, derive_seed, load_set,
+from sparselab.sample import (RandomEnsemble, derive_seed,
                               normalized_restriction, restrict_translated,
-                              sample_ensemble, sample_subset, save_set,
-                              stable_hash, subsample, translate_indices,
-                              uniform01)
+                              sample_ensemble, sample_subset, stable_hash,
+                              subsample, translate_indices, uniform01)
 
 
 def test_sampling_is_deterministic():
@@ -128,14 +127,3 @@ def test_translation_other_ground_kinds():
     g = GroundSet.ksubsets(5, 2)
     out = translate_indices(g, [8, 9], 3)
     np.testing.assert_array_equal(out, np.array([1, 2]))
-
-
-def test_set_roundtrip(tmp_path):
-    g = GroundSet.cyclic(100)
-    U = sample_subset(g, 0.3, seed=21)
-    path = tmp_path / "u.set"
-    save_set(path, g, U, p=0.3, seed=21)
-    g2, U2, header = load_set(path)
-    assert g2 == g
-    np.testing.assert_array_equal(U, U2)
-    assert header["p"] == 0.3 and header["seed"] == 21

@@ -23,7 +23,6 @@ from sparselab.verify import (
     jr_two_edge_bound,
     rooted_copy_expectation,
     sample_anti_uniform,
-    tail_bound,
 )
 
 
@@ -154,16 +153,6 @@ def test_jr_two_edge_bound():
         jr_two_edge_bound(K, 0, 1, 50, 0.1, gamma=1.0)
     with pytest.raises(ValueError):
         jr_two_edge_bound(K, 1, 1, 50, 0.1, gamma=2.0)
-
-
-def test_tail_bound_dispatcher():
-    out = tail_bound("chernoff", delta=1.0, p=0.5, size=8)
-    assert out["value"] == pytest.approx(2 * math.exp(-1.0))
-    sys = build_system(kind="copies", n=9, pattern="K4")
-    out = tail_bound("jr-rooted", pattern=sys.pattern, root=0, n=9, p=0.1)
-    assert set(out) >= {"kind", "value", "min_exponent", "edge_subset"}
-    with pytest.raises(ValueError):
-        tail_bound("not-a-bound")
 
 
 # --- property checks ------------------------------------------------------
