@@ -19,12 +19,12 @@ import os
 import sys as _sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .conv import count_functional
-from .core import GroundSet, make_measure
+from .core import make_measure
 from .oracles import (HostGraph, adversary_colouring, adversary_free_subset,
                       critical_exponent, extremal_number, pattern_stats,
                       ramsey_multiplicity, supersaturation_count,

@@ -77,15 +77,6 @@ class ConvolutionResult:
     at: object            # None for all of X, else int64 array of x indices
     values: np.ndarray
 
-    def function(self, domain) -> WeightFunction:
-        if self.at is not None or self.values.ndim != 1:
-            raise ValueError("partial or batched evaluation; no single "
-                             "function available")
-        return WeightFunction(domain, values=self.values)
-
-    def max(self):
-        return float(np.max(self.values)) if self.values.size else 0.0
-
 
 def _fiber_sums(sys, j, arrs, points):
     """(sums, counts): sum over S_j(x) of prod_{i != j} arrs(s_i), and
@@ -305,12 +296,12 @@ def _copy_support_count(sys, f, guard):
     """Sum of injection products via backtracking restricted to vertices
     incident to the support of f."""
     ground = sys.ground
-    supp = f.support_indices()
+    arr = f.dense()
     vals = {}
     verts = set()
-    for i in supp:
+    for i in f.support_indices():
         e = ground.element(int(i))
-        vals[e] = f.value_at(int(i))
+        vals[e] = float(arr[i])
         verts.update(e)
     verts = sorted(verts)
     pattern = sys.pattern
@@ -432,37 +423,10 @@ def split_capped_count(sys: SequenceSystem, fs, mode="exact", tuple_samples=0,
                         "x_samples": x_samples}
 
 
-def counting_gap_bound(sys: SequenceSystem, f: WeightFunction,
-                       g: WeightFunction, guard=ENUM_GUARD):
-    """Telescoping bound: |E prod f - E prod g| is at most
-    sum_j |<f - g, conv_j(g,..,g,f,..,f)>| (g before position j, f after).
-
-    Returns {"lhs": .., "rhs": .., "terms": [..]} and checks the inequality
-    to 1e-9."""
-    k = sys.k
-    lhs = abs(count_functional(sys, f, mode="exact", guard=guard)[0]
-              - count_functional(sys, g, mode="exact", guard=guard)[0])
-    diff = WeightFunction(sys.ground, values=f.dense() - g.dense())
-    terms = []
-    for j in range(1, k + 1):
-        args = [g] * (j - 1) + [f] * (k - j)
-        res = convolve(sys, j, args, guard=guard)
-        terms.append(abs(inner_product(diff, res.function(sys.ground))))
-    rhs = float(sum(terms))
-    if lhs > rhs + 1e-9:
-        raise AssertionError(
-            f"telescoping bound violated: lhs={lhs} rhs={rhs}")
-    return {"lhs": lhs, "rhs": rhs, "terms": terms}
-
-
 @dataclass
 class WKernelValue:
     value: float
     intersection_size: int
-
-    @property
-    def empty(self):
-        return self.intersection_size == 0
 
 
 def w_kernel(sys: SequenceSystem, mid_funcs, x, y, guard=ENUM_GUARD) -> WKernelValue:

@@ -11,22 +11,16 @@ Three ground set kinds are supported:
   * grid(n, r)      -- Z_n^r, elements are r-tuples, little-endian base-n index;
   * ksubsets(n, k)  -- k-element subsets of {0..n-1}, lexicographic rank.
 
-Weight functions store either a dense numpy vector over X or a sparse
-{index: value} dict; the calculus is storage-agnostic.
+A weight function is a read-only dense numpy vector over X.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-# Dense storage is the default up to this many elements; beyond it callers
-# should hand in sparse data.
-DENSE_LIMIT = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -104,33 +98,6 @@ class GroundSet:
             return idx
         return _rank_subset(tuple(sorted(e)), self.n, self.k)
 
-    def elements(self):
-        for i in range(self.size):
-            yield self.element(i)
-
-    # --- serialization ---------------------------------------------------
-
-    def to_json(self):
-        d = {"kind": self.kind, "n": self.n}
-        if self.kind == "grid":
-            d["r"] = self.r
-        if self.kind == "ksubsets":
-            d["k"] = self.k
-        if self.exclude_zero:
-            d["exclude_zero"] = True
-        return d
-
-    @staticmethod
-    def from_json(d):
-        kind = d["kind"]
-        if kind == "cyclic":
-            return GroundSet.cyclic(d["n"], d.get("exclude_zero", False))
-        if kind == "grid":
-            return GroundSet.grid(d["n"], d["r"])
-        if kind == "ksubsets":
-            return GroundSet.ksubsets(d["n"], d["k"])
-        raise ValueError(f"unknown ground set kind {kind!r}")
-
 
 def _rank_subset(s, n, k):
     """Lexicographic rank of a sorted k-tuple of distinct ints in 0..n-1."""
@@ -163,31 +130,20 @@ def _unrank_subset(rank, n, k):
 
 
 class WeightFunction:
-    """Real-valued function on a ground set, dense or sparse storage.
+    """Real-valued function on a ground set, stored as a dense vector over X.
 
-    Sparse storage means "zero off the stored support".  Instances are
-    treated as immutable; dense arrays are marked read-only.
+    Instances are treated as immutable; the array is marked read-only.
     """
 
-    def __init__(self, domain: GroundSet, values=None, sparse=None):
-        if (values is None) == (sparse is None):
-            raise ValueError("give exactly one of values= or sparse=")
+    def __init__(self, domain: GroundSet, values):
         self.domain = domain
-        if values is not None:
-            arr = np.asarray(values, dtype=float)
-            if arr.shape != (domain.size,):
-                raise ValueError(
-                    f"dense values need shape ({domain.size},), got {arr.shape}")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            self._dense = arr
-            self._sparse = None
-        else:
-            self._dense = None
-            self._sparse = {int(i): float(v) for i, v in sparse.items()}
-            for i in self._sparse:
-                if not 0 <= i < domain.size:
-                    raise ValueError(f"sparse index {i} out of range")
+        arr = np.asarray(values, dtype=float)
+        if arr.shape != (domain.size,):
+            raise ValueError(
+                f"dense values need shape ({domain.size},), got {arr.shape}")
+        arr = arr.copy()
+        arr.flags.writeable = False
+        self._dense = arr
 
     # --- constructors ----------------------------------------------------
 
@@ -203,119 +159,42 @@ class WeightFunction:
 
     # --- storage ---------------------------------------------------------
 
-    @property
-    def is_sparse(self):
-        return self._sparse is not None
-
     def dense(self):
         """Values as a read-only numpy vector over all of X."""
-        if self._dense is not None:
-            return self._dense
-        if self.domain.size > DENSE_LIMIT:
-            raise ValueError("domain too large to densify")
-        v = np.zeros(self.domain.size)
-        for i, x in self._sparse.items():
-            v[i] = x
-        v.flags.writeable = False
-        return v
-
-    def sparse_items(self):
-        if self._sparse is not None:
-            return dict(self._sparse)
-        nz = np.nonzero(self._dense)[0]
-        return {int(i): float(self._dense[i]) for i in nz}
-
-    def value_at(self, i):
-        if self._dense is not None:
-            return float(self._dense[i])
-        return self._sparse.get(int(i), 0.0)
+        return self._dense
 
     def support_indices(self):
-        if self._sparse is not None:
-            return np.array(sorted(i for i, v in self._sparse.items() if v != 0.0),
-                            dtype=np.int64)
         return np.nonzero(self._dense)[0].astype(np.int64)
 
-    # --- serialization ---------------------------------------------------
-
-    def to_json(self):
-        d = {"domain": self.domain.to_json()}
-        if self._dense is not None:
-            d["storage"] = "dense"
-            d["values"] = [float(v) for v in self._dense]
-        else:
-            d["storage"] = "sparse"
-            d["entries"] = {str(i): v for i, v in sorted(self._sparse.items())}
-        return d
-
-    @staticmethod
-    def from_json(d):
-        domain = GroundSet.from_json(d["domain"])
-        if d["storage"] == "dense":
-            return WeightFunction(domain, values=d["values"])
-        return WeightFunction(domain,
-                              sparse={int(i): v for i, v in d["entries"].items()})
-
-    def dumps(self):
-        return json.dumps(self.to_json())
-
-    @staticmethod
-    def loads(s):
-        return WeightFunction.from_json(json.loads(s))
-
     def __repr__(self):
-        store = "sparse" if self.is_sparse else "dense"
-        return f"WeightFunction({self.domain.kind}, |X|={self.domain.size}, {store})"
-
-
-def _check_same_domain(f, g):
-    if f.domain != g.domain:
-        raise ValueError(f"domain mismatch: {f.domain} vs {g.domain}")
+        return f"WeightFunction({self.domain.kind}, |X|={self.domain.size})"
 
 
 def expectation(f: WeightFunction) -> float:
     """E_x f(x) = |X|^{-1} sum_x f(x)."""
-    if f.is_sparse:
-        return math.fsum(f._sparse.values()) / f.domain.size
     return float(np.sum(f._dense)) / f.domain.size
 
 
 def inner_product(f: WeightFunction, g: WeightFunction) -> float:
     """<f, g> = E_x f(x) g(x)."""
-    _check_same_domain(f, g)
-    if not f.is_sparse and not g.is_sparse:
-        return float(np.dot(f._dense, g._dense)) / f.domain.size
-    # iterate the sparser side
-    if f.is_sparse:
-        sp, other = f, g
-    else:
-        sp, other = g, f
-    total = math.fsum(v * other.value_at(i) for i, v in sp._sparse.items())
-    return total / f.domain.size
+    if f.domain != g.domain:
+        raise ValueError(f"domain mismatch: {f.domain} vs {g.domain}")
+    return float(np.dot(f._dense, g._dense)) / f.domain.size
 
 
 def lp_norm(f: WeightFunction, p) -> float:
     """||f||_p under the normalized E_x, with ||f||_inf = max_x |f(x)|."""
     if p == math.inf or p == "inf":
-        if f.is_sparse:
-            vals = [abs(v) for v in f._sparse.values()]
-            # zero off support counts whenever the support is proper
-            if len(f._sparse) < f.domain.size:
-                vals.append(0.0)
-            return max(vals) if vals else 0.0
         return float(np.max(np.abs(f._dense))) if f.domain.size else 0.0
     p = float(p)
     if p < 1:
         raise ValueError("lp_norm needs p >= 1 or inf")
-    if f.is_sparse:
-        s = math.fsum(abs(v) ** p for v in f._sparse.values())
-    else:
-        s = float(np.sum(np.abs(f._dense) ** p))
+    s = float(np.sum(np.abs(f._dense) ** p))
     return (s / f.domain.size) ** (1.0 / p)
 
 
-def make_measure(domain: GroundSet, subset, mode="characteristic", p=None,
-                 sparse=None) -> WeightFunction:
+def make_measure(domain: GroundSet, subset, mode="characteristic",
+                 p=None) -> WeightFunction:
     """Measure of a subset U of X.
 
     characteristic: |X|/|U| on U, 0 elsewhere -- always has L1 norm exactly 1.
@@ -339,10 +218,6 @@ def make_measure(domain: GroundSet, subset, mode="characteristic", p=None,
         height = 1.0 / p
     else:
         raise ValueError(f"unknown measure mode {mode!r}")
-    if sparse is None:
-        sparse = domain.size > DENSE_LIMIT
-    if sparse:
-        return WeightFunction(domain, sparse={int(i): height for i in idx})
     v = np.zeros(domain.size)
     v[idx] = height
     return WeightFunction(domain, values=v)

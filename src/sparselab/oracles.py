@@ -20,7 +20,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import GroundSet
 from .sample import derive_seed
 from .systems import CopySystem, PatternHypergraph, SequenceSystem
 
@@ -333,21 +332,6 @@ def ramsey_multiplicity(host: HostGraph, K: PatternHypergraph, r,
     best, witness = _min_mono_colouring(copy_idx, len(edges), r, mode, budget,
                                         seed, "ramsey", guard)
     return best, {str(e): witness[i] for i, e in enumerate(edges)}
-
-
-def ramsey_multiplicity_system(sys: SequenceSystem, r, mode="exhaustive",
-                               guard=EXHAUSTIVE_GUARD, budget=20000, seed=0):
-    """Minimum number of monochromatic ORDERED tuples of S over all
-    r-colourings of the ground set (the system-side analogue; counts are
-    ordered because S is)."""
-    if r < 1:
-        raise ValueError("need at least one colour")
-    X = sys.ground.size
-    tuples_ = _tuple_list(sys)
-    if r == 1 or not tuples_:
-        return len(tuples_), [0] * X
-    return _min_mono_colouring(tuples_, X, r, mode, budget, seed,
-                               "ramsey-sys", guard)
 
 
 # --- extremal numbers -----------------------------------------------------

@@ -3,8 +3,8 @@
 Inclusion draws are counter-based: element x goes into the sample iff
 hash64(seed, index(x)) < p, where hash64 is a splitmix64-style mixer.  The
 draw for a given (seed, element) never depends on evaluation order or on how
-many other elements are probed, so resampling, subsampling and parallel
-sweeps all reproduce byte-identically.
+many other elements are probed, so resampling and parallel sweeps reproduce
+byte-identically.
 
 Derived seeds (per ensemble member, per trial, per grid cell) come from a
 blake2b digest of labelled parts, so they are stable across processes and
@@ -65,22 +65,6 @@ def sample_subset(domain: GroundSet, p: float, seed: int) -> np.ndarray:
     return np.nonzero(draws < p)[0].astype(np.int64)
 
 
-def subsample(subset, ratio: float, seed: int) -> np.ndarray:
-    """Keep each element of subset independently with probability ratio.
-
-    Draws are keyed by element index, so subsample(sample_subset(X, p), q/p)
-    has the inclusion law of sample_subset(X, q) when the two seeds are
-    independent.
-    """
-    if not 0 <= ratio <= 1:
-        raise ValueError("ratio must lie in [0, 1]")
-    idx = np.asarray(subset, dtype=np.int64)
-    if idx.size == 0:
-        return idx.copy()
-    keep = uniform01(seed, idx) < ratio
-    return idx[keep]
-
-
 @dataclass
 class RandomEnsemble:
     """m independent density-p subsets U_1..U_m of one ground set."""
@@ -108,42 +92,8 @@ class RandomEnsemble:
 
 
 def sample_ensemble(domain: GroundSet, p: float, m: int, master_seed: int) -> RandomEnsemble:
+    if m < 1:
+        raise ValueError("an ensemble needs m >= 1 sets")
     seeds = [derive_seed(master_seed, "ensemble", i) for i in range(m)]
     sets = [sample_subset(domain, p, s) for s in seeds]
     return RandomEnsemble(domain, p, m, master_seed, sets, seeds)
-
-
-def normalized_restriction(f: WeightFunction, subset, p: float, q: float) -> WeightFunction:
-    """(p/q) f on the subset, 0 elsewhere.
-
-    For f supported on a density-p set and the subset a density-(q/p)
-    subsample, this renormalizes so that averaging over subsamples recovers f.
-    """
-    if not 0 < q <= p <= 1:
-        raise ValueError("need 0 < q <= p <= 1")
-    idx = np.asarray(subset, dtype=np.int64)
-    scale = p / q
-    if f.is_sparse:
-        keep = set(int(i) for i in idx)
-        return WeightFunction(f.domain, sparse={
-            i: scale * v for i, v in f.sparse_items().items() if i in keep})
-    v = np.zeros(f.domain.size)
-    v[idx] = scale * f.dense()[idx]
-    return WeightFunction(f.domain, values=v)
-
-
-def translate_indices(domain: GroundSet, subset, a: int) -> np.ndarray:
-    """Index-translation V + a on the fixed element ordering (mod |X|)."""
-    idx = np.asarray(subset, dtype=np.int64)
-    return np.sort((idx + int(a)) % domain.size)
-
-
-def restrict_translated(f: WeightFunction, subset, a: int) -> WeightFunction:
-    """Characteristic-normalized restriction of f to the translate V + a."""
-    shifted = translate_indices(f.domain, subset, a)
-    if shifted.size == 0:
-        raise ValueError("cannot restrict to an empty translate")
-    scale = f.domain.size / shifted.size
-    v = np.zeros(f.domain.size)
-    v[shifted] = scale * f.dense()[shifted]
-    return WeightFunction(f.domain, values=v)

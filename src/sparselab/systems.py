@@ -738,11 +738,17 @@ class CopySystem(SequenceSystem):
         return {"kind": "copies", "n": self.n, "pattern": self.pattern.to_json()}
 
 
+class _Descriptor(dict):
+    def __missing__(self, key):
+        raise ValueError(f"system descriptor is missing field {key!r}")
+
+
 def build_system(descriptor=None, **kwargs) -> SequenceSystem:
-    """Build a system from a JSON-style descriptor (or keyword arguments)."""
-    d = dict(descriptor or {})
+    """Build a system from a JSON-style descriptor (or keyword arguments);
+    a missing field is a ValueError that names it."""
+    d = _Descriptor(descriptor or {})
     d.update(kwargs)
-    kind = d.pop("kind")
+    kind = d["kind"]
     if kind == "ap":
         return APSystem(d["n"], d["k"], d.get("allow_d0", False),
                         d.get("require_prime", True))

@@ -1,6 +1,5 @@
-"""Dense-model machinery: sampled anti-uniform families, the family norm,
-a minimax LP solver producing the dense model g, positive-part polynomial
-approximation, counting-lemma verification, and randomized rounding.
+"""Dense-model machinery: sampled anti-uniform families, a minimax LP
+solver producing the dense model g, and counting-lemma verification.
 
 Everything is stated relative to a FINITE sampled family of basic
 anti-uniform functions (capped convolutions with bounded leading slots and
@@ -13,17 +12,14 @@ trusted from the solver.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import chebyshev as npcheb
-from numpy.polynomial import polynomial as nppoly
 
 from .conv import count_functional, split_capped_count
 from .core import GroundSet, WeightFunction
-from .sample import derive_seed, uniform01
+from .sample import derive_seed
 from .verify import anti_uniform_matrix
 
 _G_CONSTANTS = (1.0, 0.75, 0.5, 0.25)
@@ -105,14 +101,6 @@ def build_family(sys, ensemble, size, sets=None, seed=0) -> AntiUniformFamily:
                                          "indicators": len(sets or [])})
 
 
-def antiuniform_norm(h: WeightFunction, family: AntiUniformFamily) -> float:
-    """max over members of |<h, phi>|."""
-    if not len(family):
-        raise ValueError("family is empty")
-    vals = family.matrix() @ h.dense() / family.domain.size
-    return float(np.abs(vals).max())
-
-
 @dataclass
 class DenseModelResult:
     g: WeightFunction
@@ -177,132 +165,7 @@ def solve_dense_model(f: WeightFunction, family: AntiUniformFamily,
                             len(family), int(getattr(res, "nit", 0) or 0))
 
 
-@dataclass
-class ColouringModelResult:
-    gs: list
-    achieved_norm: float
-    lp_optimum: float
-    status: str
-
-    def to_json(self):
-        return {"gs": [[repr(v) for v in g.dense()] for g in self.gs],
-                "achieved_norm": repr(self.achieved_norm),
-                "lp_optimum": repr(self.lp_optimum), "status": self.status}
-
-
-def solve_dense_model_colouring(fs, family: AntiUniformFamily,
-                                eps=0.0) -> ColouringModelResult:
-    """Coupled solves: min t s.t. |<f_i/(1+eps) - g_i, phi>| <= t for all i
-    and phi, with the pointwise budget g_1 + ... + g_r <= 1."""
-    from scipy.optimize import linprog
-
-    r = len(fs)
-    if r < 1:
-        raise ValueError("need at least one function")
-    X = family.domain.size
-    scaling = 1.0 / (1.0 + eps)
-    targets = [f.dense() * scaling for f in fs]
-    for t in targets:
-        if t.min() < 0:
-            raise ValueError("dense-model inputs must be nonnegative")
-    Phi = family.matrix() / X
-    M = Phi.shape[0]
-    nvar = r * X + 1
-    c = np.zeros(nvar)
-    c[-1] = 1.0
-    rows = []
-    rhs = []
-    for i in range(r):
-        b = Phi @ targets[i]
-        block = np.zeros((2 * M, nvar))
-        block[:M, i * X:(i + 1) * X] = Phi
-        block[M:, i * X:(i + 1) * X] = -Phi
-        block[:, -1] = -1.0
-        rows.append(block)
-        rhs.append(np.concatenate([b, -b]))
-    budget = np.zeros((X, nvar))
-    for i in range(r):
-        budget[:, i * X:(i + 1) * X] = np.eye(X)
-    rows.append(budget)
-    rhs.append(np.ones(X))
-    res = linprog(c, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
-                  bounds=[(0.0, 1.0)] * (r * X) + [(0.0, None)],
-                  method="highs")
-    if res.x is None:
-        raise RuntimeError(f"colouring LP failed: {res.message}")
-    gs = [WeightFunction(family.domain,
-                         values=np.clip(res.x[i * X:(i + 1) * X], 0.0, 1.0))
-          for i in range(r)]
-    achieved = max(float(np.abs(Phi @ (targets[i] - gs[i].dense())).max())
-                   for i in range(r))
-    status = "optimal" if res.status == 0 else f"best-so-far:{res.message}"
-    return ColouringModelResult(gs, achieved, float(res.fun), status)
-
-
-# --- positive-part polynomial --------------------------------------------
-
-@dataclass
-class PolynomialApprox:
-    coefficients: list               # a_0..a_d, monomial basis on [-2,2]
-    degree: int
-    certified_error: float
-    grid_error: float
-    weight_sum: float                # M = sum_{j>=1} |a_j|
-
-    def __call__(self, x):
-        return nppoly.polyval(x, np.asarray(self.coefficients))
-
-    def to_json(self):
-        return json.dumps({"coefficients": [repr(c) for c in self.coefficients],
-                           "degree": self.degree,
-                           "certified_error": repr(self.certified_error),
-                           "grid_error": repr(self.grid_error),
-                           "weight_sum": repr(self.weight_sum)})
-
-    @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        return cls([float(c) for c in d["coefficients"]], d["degree"],
-                   float(d["certified_error"]), float(d["grid_error"]),
-                   float(d["weight_sum"]))
-
-
-def _certify(coeffs, grid_points=10 ** 4):
-    grid = np.linspace(-2.0, 2.0, grid_points)
-    vals = nppoly.polyval(grid, coeffs)
-    grid_err = float(np.abs(vals - np.maximum(grid, 0.0)).max())
-    deriv = nppoly.polyder(coeffs)
-    lip = float(np.abs(nppoly.polyval(grid, deriv)).max())
-    spacing = 4.0 / (grid_points - 1)
-    return grid_err, grid_err + (lip + 1.0) * spacing / 2.0
-
-
-def approx_positive_part(eps) -> PolynomialApprox:
-    """Polynomial P with |P(x) - max(x, 0)| <= eps on [-2,2].
-
-    Built from the even Chebyshev series of |u| on [-1,1] via
-    max(x,0) = (x + 2|x/2|)/2, with the truncation degree raised until the
-    10^4-point grid plus a Lipschitz slack certifies the target error.
-    """
-    if not 0 < eps < 1:
-        raise ValueError("need 0 < eps < 1")
-    for terms in range(1, 400):
-        cheb = np.zeros(2 * terms + 1)
-        cheb[0] = 2.0 / math.pi
-        for k in range(1, terms + 1):
-            cheb[2 * k] = (4.0 / math.pi) * (-1.0) ** (k + 1) / (4 * k * k - 1)
-        r = npcheb.cheb2poly(cheb)             # |u| ~ R(u) on [-1,1]
-        a = r / (2.0 ** np.arange(r.size))     # R(x/2) in x
-        a[1] += 0.5                            # P(x) = x/2 + R(x/2)
-        grid_err, certified = _certify(a)
-        if certified <= eps:
-            weight = float(np.abs(a[1:]).sum())
-            return PolynomialApprox([float(v) for v in a], int(a.size - 1),
-                                    certified, grid_err, weight)
-    raise ValueError(f"no certified polynomial found for eps={eps}")
-
-
-# --- counting-lemma verification and rounding -----------------------------
+# --- counting-lemma verification -----------------------------------------
 
 def verify_counting_lemma(sys, fs, g, eta, mode="exact", tuple_samples=0,
                           x_samples=0, count_samples=0, seed=0) -> dict:
@@ -323,19 +186,3 @@ def verify_counting_lemma(sys, fs, g, eta, mode="exact", tuple_samples=0,
             "gap": gap, "eta": eta, "threshold": threshold,
             "ok": gap <= threshold, "mode": mode,
             "split_detail": detail}
-
-
-def round_to_indicator(g: WeightFunction, seed=0) -> WeightFunction:
-    """h(x) = 1 with probability g(x), independently; deterministic in seed."""
-    vals = g.dense()
-    if vals.min() < 0 or vals.max() > 1:
-        raise ValueError("rounding input must have values in [0, 1]")
-    u = uniform01(seed, np.arange(g.domain.size))
-    return WeightFunction(g.domain, values=(u < vals).astype(float))
-
-
-def azuma_rounding_bound(eps, size, k):
-    """P(count(h) deviates from count(g) by eps/2) <= 2 exp(-eps^2 |X| / 8 k^2)."""
-    if eps <= 0 or size <= 0 or k < 1:
-        raise ValueError("need eps > 0, size > 0, k >= 1")
-    return 2.0 * math.exp(-eps ** 2 * size / (8.0 * k * k))

@@ -19,9 +19,8 @@ The conditions for a single density p over fresh sets U_1..U_k:
   2. the pair kernel W(x, y) = E over S_1(x) n S_k(y) of the middle measures
      stays below alpha * p * t(x), with t(x) the number of occupied y.
 
-Closed-form tail bounds live at the bottom; the Janson-Rucinski bounds
-return the minimizing rooted sub-pattern found by exhaustive edge-subset
-scan.  Their leading constants are caller-supplied knobs, not derived.
+Closed-form tail bounds live at the bottom: Chernoff, Bernstein, the
+one-sided correlation bound and the expected mass above the cap.
 """
 
 from __future__ import annotations
@@ -79,6 +78,13 @@ def _distinct_tuples(m, length):
 
 def _full_eval_ok(sys, guard=EXACT_FULL_GUARD):
     return sys.ground.size * max(sys.fiber_size(1), 1) <= guard
+
+
+def _probe(sys, j, args, exact, rng, x_samples):
+    """conv_j of args on all of X if exact, else at x_samples points drawn
+    from rng."""
+    xs = None if exact else rng.integers(0, sys.ground.size, size=x_samples)
+    return convolve(sys, j, args, xs=xs).values
 
 
 def sample_anti_uniform(sys: SequenceSystem, ensemble, j, indices,
@@ -162,12 +168,13 @@ def check_properties(sys: SequenceSystem, ensemble, which=(0, 1, 2, 3),
     Large systems are probed at x_samples random points per index tuple
     (exact fiber averages at each probed x); small ones exactly over X.
     """
+    if not set(which) <= {0, 1, 2, 3}:
+        raise ValueError(f"property numbers lie in 0..3, got {list(which)}")
     reports = []
     m = ensemble.m
     k = sys.k
     rng = np.random.default_rng(derive_seed(seed, "properties"))
     mus = ensemble.measures()
-    dense_mus = [mu.dense() for mu in mus]
     exact = _full_eval_ok(sys)
     X = sys.ground.size
 
@@ -191,9 +198,8 @@ def check_properties(sys: SequenceSystem, ensemble, which=(0, 1, 2, 3),
             combos = [combos[i] for i in pick]
         stat, err, worst = 0.0, 0.0, None
         for j, tup in combos:
-            args = [mus[i - 1] for i in tup]
-            xs = None if exact else rng.integers(0, X, size=x_samples)
-            vals = convolve(sys, j, args, xs=xs).values
+            vals = _probe(sys, j, [mus[i - 1] for i in tup], exact, rng,
+                          x_samples)
             excess = np.maximum(vals - CAP, 0.0)
             est = float(excess.mean())
             e = 0.0 if exact else float(excess.std(ddof=1) / math.sqrt(excess.size))
@@ -212,8 +218,7 @@ def check_properties(sys: SequenceSystem, ensemble, which=(0, 1, 2, 3),
             for tup in _distinct_tuples(m, k - j):
                 args = ([WeightFunction.constant(sys.ground, 1.0)] * (j - 1)
                         + [mus[i - 1] for i in tup])
-                xs = None if exact else rng.integers(0, X, size=x_samples)
-                vals = convolve(sys, j, args, xs=xs).values
+                vals = _probe(sys, j, args, exact, rng, x_samples)
                 top = float(vals.max()) if vals.size else 0.0
                 checked += 1
                 if top > stat:
@@ -265,19 +270,6 @@ def check_properties(sys: SequenceSystem, ensemble, which=(0, 1, 2, 3),
     return reports
 
 
-def eta_j_good(sys, j, measures, eta, x_samples=256, seed=0) -> PropertyReport:
-    """Is the supplied measure tuple (eta, j)-good: L1 cap excess at most eta?"""
-    exact = _full_eval_ok(sys)
-    rng = np.random.default_rng(derive_seed(seed, "etaj"))
-    xs = None if exact else rng.integers(0, sys.ground.size, size=x_samples)
-    vals = convolve(sys, j, list(measures), xs=xs).values
-    excess = np.maximum(vals - CAP, 0.0)
-    stat = float(excess.mean())
-    err = 0.0 if exact else float(excess.std(ddof=1) / math.sqrt(excess.size))
-    return PropertyReport("eta_j_good", stat <= eta, stat, eta, stderr=err,
-                          detail={"j": j, "mode": "exact" if exact else "sampled_x"})
-
-
 def check_conditions(sys: SequenceSystem, p, trials=1, alpha=0.1, seed=0,
                      x_samples=64, pair_samples=200, threshold1=1.5) -> list:
     """Check the two single-density conditions over `trials` fresh set draws."""
@@ -302,8 +294,7 @@ def check_conditions(sys: SequenceSystem, p, trials=1, alpha=0.1, seed=0,
                             args.append(mus[i - 1])
                         else:
                             args.append(WeightFunction.constant(sys.ground, 1.0))
-                    xs = None if exact else rng.integers(0, X, size=x_samples)
-                    vals = convolve(sys, j, args, xs=xs).values
+                    vals = _probe(sys, j, args, exact, rng, x_samples)
                     top = float(vals.max()) if vals.size else 0.0
                     if top > stat1:
                         stat1 = top
@@ -367,13 +358,6 @@ def correlation_bound(lam, p, size, C):
     return math.exp(-lam ** 2 * p * size / (3.0 * C ** 2))
 
 
-def azuma_bound(lam, c, t):
-    """exp(-lam^2 / (2 c^2 t)) for t increments of size at most c."""
-    if lam <= 0 or c <= 0 or t <= 0:
-        raise ValueError("need lam, c, t > 0")
-    return math.exp(-lam ** 2 / (2.0 * c ** 2 * t))
-
-
 def capped_excess_eta(alpha):
     """Expected mass above the cap: at most eta = 7 alpha e^{-1/(14 alpha)},
     valid when the conditional means stay below 3/2 and the per-point bound
@@ -381,69 +365,3 @@ def capped_excess_eta(alpha):
     if alpha <= 0:
         raise ValueError("need alpha > 0")
     return 7.0 * alpha * math.exp(-1.0 / (14.0 * alpha))
-
-
-def rooted_copy_expectation(pattern, root, n, p, edge_subset=None):
-    """E Y_L^e = p^{e_L - 1} k! (n-k)(n-k-1)...(n-v_L+1) for the sub-pattern
-    L spanned by edge_subset (which must contain the root edge index)."""
-    edges = pattern.edges
-    if not 0 <= root < len(edges):
-        raise ValueError("root edge index out of range")
-    subset = tuple(sorted(edge_subset)) if edge_subset is not None \
-        else tuple(range(len(edges)))
-    if root not in subset:
-        raise ValueError("edge subset must contain the root edge")
-    verts = set()
-    for e in subset:
-        verts.update(edges[e])
-    v_L, e_L, kk = len(verts), len(subset), pattern.k
-    value = p ** (e_L - 1) * math.factorial(kk)
-    for i in range(kk, v_L):
-        value *= (n - i)
-    return value, v_L
-
-
-def jr_rooted_bound(pattern, root, n, p, c=1.0):
-    """2 n^{v_K} exp(-c min_L (E Y_L^e)^{1/v_L}) over rooted sub-patterns L,
-    scanned exhaustively; returns (value, minimizer info)."""
-    edges = list(range(pattern.num_edges))
-    rest = [e for e in edges if e != root]
-    best = None
-    for width in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, width):
-            subset = tuple(sorted((root,) + extra))
-            ey, v_L = rooted_copy_expectation(pattern, root, n, p, subset)
-            score = ey ** (1.0 / v_L)
-            if best is None or score < best[0]:
-                best = (score, subset, v_L, ey)
-    score, subset, v_L, ey = best
-    value = 2.0 * n ** pattern.num_vertices * math.exp(-c * score)
-    return value, {"min_exponent": score, "edge_subset": list(subset),
-                   "v_L": v_L, "expected_rooted_copies": ey}
-
-
-def jr_two_edge_bound(pattern, e1, e2, n, p, gamma, c=1.0):
-    """Two-edge-rooted variant: 2 n^{v_K} exp(-c min_L (gamma E Y_L^{e1,e2})^{1/v_L})
-    for gamma >= 2, with E Y_L^{e1,e2} = p^{e_L-2} n^{v_L - h}, h = |e1 u e2|."""
-    if gamma < 2:
-        raise ValueError("two-edge-rooted bound needs gamma >= 2")
-    if e1 == e2:
-        raise ValueError("root edges must differ")
-    h = len(set(pattern.edges[e1]) | set(pattern.edges[e2]))
-    rest = [e for e in range(pattern.num_edges) if e not in (e1, e2)]
-    best = None
-    for width in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, width):
-            subset = tuple(sorted((e1, e2) + extra))
-            verts = set()
-            for e in subset:
-                verts.update(pattern.edges[e])
-            v_L, e_L = len(verts), len(subset)
-            ey = p ** (e_L - 2) * n ** (v_L - h)
-            score = (gamma * ey) ** (1.0 / v_L)
-            if best is None or score < best[0]:
-                best = (score, subset, v_L, ey)
-    score, subset, v_L, ey = best
-    value = 2.0 * n ** pattern.num_vertices * math.exp(-c * score)
-    return value, {"min_exponent": score, "edge_subset": list(subset),
-                   "v_L": v_L, "expected_rooted_copies": ey, "h": h}

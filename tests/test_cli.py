@@ -60,6 +60,34 @@ def test_enumeration_guard_gives_exit_two(capsys):
     assert "exact split count needs" in payload["error"]
 
 
+def _error_payload(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["code"] == 2
+    return payload["error"]
+
+
+def test_missing_descriptor_field_gives_exit_two(capsys):
+    error = _error_payload(capsys, "verify-system", "--system", "ap")
+    assert "missing field 'n'" in error
+    error = _error_payload(capsys, "verify-system", "--system",
+                           '{"n": 101, "k": 3}')
+    assert "missing field 'kind'" in error
+
+
+def test_property_number_out_of_range_gives_exit_two(capsys):
+    error = _error_payload(capsys, "properties", "--system", "ap", "--n", "101",
+                           "--k", "3", "--p", "0.5", "--properties", "0,7")
+    assert "0..3" in error
+
+
+def test_empty_ensemble_gives_exit_two(capsys):
+    error = _error_payload(capsys, "properties", "--system", "ap", "--n", "101",
+                           "--k", "3", "--p", "0.5", "--m", "0")
+    assert "m >= 1" in error
+
+
 def test_properties_command(capsys):
     code, out, _ = run_cli(capsys, "properties", "--system", "ap",
                            "--n", "101", "--k", "3", "--p", "1.0",
@@ -216,12 +244,13 @@ def test_console_script_help():
 
 def test_import_does_not_load_scipy():
     # scipy loads only when an LP runs; the import costs about 0.6 s and
-    # 49 MB in every process
+    # 49 MB in every process.  numpy.polynomial has no user in the package.
     src = str(Path(sparselab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     code = ("import sys, sparselab.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
+            "if m.split('.')[0] == 'scipy' "
+            "or m.startswith('numpy.polynomial')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr

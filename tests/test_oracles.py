@@ -19,7 +19,6 @@ from sparselab.oracles import (
     extremal_number,
     pattern_stats,
     ramsey_multiplicity,
-    ramsey_multiplicity_system,
     supersaturation_count,
     tuples_within,
     varnavides_count,
@@ -204,18 +203,6 @@ def test_ramsey_guard_and_heuristic():
                                          mode="heuristic", budget=4000, seed=1)
     assert count == 0
     assert _recount_mono(witness, 5, 2) == 0
-
-
-def test_ramsey_system_variant():
-    sys = build_system(kind="schur", n=7)
-    total = len(list(sys.tuples()))
-    full, _ = ramsey_multiplicity_system(sys, 1)
-    assert full == total
-    count, witness = ramsey_multiplicity_system(sys, 2)
-    assert 0 <= count <= total
-    assert len(witness) == sys.ground.size
-    again, _ = ramsey_multiplicity_system(sys, 2)
-    assert again == count
 
 
 # --- extremal numbers -----------------------------------------------------
@@ -448,24 +435,28 @@ def test_ramsey_multiplicity_equals_reference(n, r):
     # d = 4 in Z_8 gives (x, x + 4, x): one element fills two of three
     lambda: APSystem(8, 3, allow_d0=True, require_prime=False),
 ])
-def test_ramsey_multiplicity_system_equals_reference(make_sys):
+def test_min_mono_colouring_equals_reference(make_sys):
+    # colourings of a system's ground set, on tuples with repeated entries
     sys = make_sys()
     X = sys.ground.size
     tuples_ = [tuple(int(v) for v in s) for s in sys.tuples()]
     for r in (2, 3):
         if r ** X <= 2 ** 16:
-            assert ramsey_multiplicity_system(sys, r) == \
+            assert oracles._min_mono_colouring(
+                tuples_, X, r, "exhaustive", 0, 0, "ramsey-sys") == \
                 ref_min_mono_exhaustive(tuples_, X, r)
         for seed, budget in [(0, 100), (1, 1000), (2, 5000)]:
             rng = np.random.default_rng(derive_seed(seed, "ramsey-sys"))
-            assert ramsey_multiplicity_system(
-                sys, r, mode="heuristic", budget=budget, seed=seed) == \
+            assert oracles._min_mono_colouring(
+                tuples_, X, r, "heuristic", budget, seed, "ramsey-sys") == \
                 ref_min_mono_local_search(tuples_, X, r, budget, rng)
 
 
 def test_colour_counts_are_checked_by_a_recount():
     # the check is a raise, not an assert, so it also runs under python -O
     sys = build_system(kind="ap", n=13, k=3)
+    tuples_ = [tuple(int(v) for v in s) for s in sys.tuples()]
     with mock.patch.object(oracles, "_mono_count", lambda tuples_, col: -1):
         with pytest.raises(AssertionError, match="recount"):
-            ramsey_multiplicity_system(sys, 2, mode="heuristic", budget=200)
+            oracles._min_mono_colouring(tuples_, 13, 2, "heuristic", 200, 0,
+                                        "ramsey-sys")

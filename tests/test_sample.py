@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
-from scipy import stats
 
-from sparselab.core import GroundSet, WeightFunction, expectation, lp_norm
-from sparselab.sample import (RandomEnsemble, derive_seed,
-                              normalized_restriction, restrict_translated,
-                              sample_ensemble, sample_subset, stable_hash,
-                              subsample, translate_indices, uniform01)
+from sparselab.core import GroundSet, lp_norm
+from sparselab.sample import (derive_seed, sample_ensemble, sample_subset,
+                              stable_hash, uniform01)
 
 
 def test_sampling_is_deterministic():
@@ -50,30 +47,6 @@ def test_density_edge_cases():
     assert sample_subset(g, 1.0, 1).size == 50
     with pytest.raises(ValueError):
         sample_subset(g, 1.5, 1)
-    with pytest.raises(ValueError):
-        subsample(np.arange(5), -0.1, 1)
-
-
-def test_subsample_matches_direct_sampling_law():
-    # chi-squared on per-element inclusion counts over many trials
-    g = GroundSet.cyclic(16)
-    p, q = 0.8, 0.2
-    trials = 10_000
-    counts = np.zeros(16)
-    for t in range(trials):
-        U = sample_subset(g, p, seed=derive_seed(99, "stage1", t))
-        V = subsample(U, q / p, seed=derive_seed(99, "stage2", t))
-        counts[V] += 1
-    expected = trials * q
-    chi2 = float(np.sum((counts - expected) ** 2 / (expected * (1 - q))))
-    assert chi2 < stats.chi2.ppf(0.999, df=16)
-
-
-def test_subsample_is_a_subset():
-    g = GroundSet.cyclic(300)
-    U = sample_subset(g, 0.5, seed=3)
-    V = subsample(U, 0.4, seed=4)
-    assert set(V).issubset(set(U))
 
 
 def test_ensemble_structure():
@@ -87,43 +60,3 @@ def test_ensemble_structure():
     avg = ens.averaged_measure()
     want = sum(mu.dense() for mu in mus) / 4
     np.testing.assert_allclose(avg.dense(), want)
-
-
-def test_normalized_restriction_recovers_f_in_expectation():
-    g = GroundSet.cyclic(64)
-    rng = np.random.default_rng(0)
-    f = WeightFunction(g, values=rng.uniform(0, 2, 64))
-    p, q = 1.0, 0.5
-    acc = np.zeros(64)
-    trials = 3000
-    for t in range(trials):
-        V = sample_subset(g, q / p, seed=derive_seed(5, t))
-        acc += normalized_restriction(f, V, p, q).dense()
-    np.testing.assert_allclose(acc / trials, f.dense(), atol=0.15)
-
-
-def test_normalized_restriction_validation():
-    g = GroundSet.cyclic(10)
-    f = WeightFunction(g, values=np.ones(10))
-    with pytest.raises(ValueError):
-        normalized_restriction(f, [0, 1], p=0.2, q=0.5)  # q > p
-    r = normalized_restriction(f, [0, 1], p=0.5, q=0.25)
-    assert r.value_at(0) == 2.0 and r.value_at(5) == 0.0
-
-
-def test_translation_on_index_order():
-    g = GroundSet.cyclic(10)
-    np.testing.assert_array_equal(
-        translate_indices(g, [7, 8, 9], 4), np.array([1, 2, 3]))
-    f = WeightFunction(g, values=np.ones(10))
-    shifted = restrict_translated(f, [7, 8, 9], 4)
-    assert expectation(shifted) == pytest.approx(1.0)
-    assert shifted.value_at(1) == pytest.approx(10 / 3)
-    assert shifted.value_at(7) == 0.0
-
-
-def test_translation_other_ground_kinds():
-    # index translation is defined for every kind via the fixed ordering
-    g = GroundSet.ksubsets(5, 2)
-    out = translate_indices(g, [8, 9], 3)
-    np.testing.assert_array_equal(out, np.array([1, 2]))
