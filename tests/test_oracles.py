@@ -435,8 +435,9 @@ def test_ramsey_multiplicity_equals_reference(n, r):
     # d = 4 in Z_8 gives (x, x + 4, x): one element fills two of three
     lambda: APSystem(8, 3, allow_d0=True, require_prime=False),
 ])
-def test_min_mono_colouring_equals_reference(make_sys):
-    # colourings of a system's ground set, on tuples with repeated entries
+def test_ramsey_multiplicity_system_equals_reference(make_sys):
+    # Ramsey multiplicity of a system: colourings of its ground set, on
+    # tuples with repeated entries, through the colourer directly
     sys = make_sys()
     X = sys.ground.size
     tuples_ = [tuple(int(v) for v in s) for s in sys.tuples()]
