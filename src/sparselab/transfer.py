@@ -111,21 +111,18 @@ class DenseModelResult:
     family_size: int
     iterations: int = 0
 
-    def to_json(self):
-        return {"g": [repr(v) for v in self.g.dense()],
-                "achieved_norm": repr(self.achieved_norm),
-                "scaling": repr(self.scaling),
-                "lp_optimum": repr(self.lp_optimum),
-                "status": self.status, "family_size": self.family_size,
-                "iterations": self.iterations}
-
 
 def solve_dense_model(f: WeightFunction, family: AntiUniformFamily,
-                      eps=0.0, tolerance=1e-9, maxiter=None) -> DenseModelResult:
+                      eps=0.0) -> DenseModelResult:
     """min over 0 <= g <= 1 of max_phi |<f/(1+eps) - g, phi>| as an LP.
 
-    Variables (g, t); two rows per family member.  achieved_norm comes from
-    a final exact pass, never from the solver's objective.
+    Variables (g, t).  The solver gets only the rows that can bind, in
+    member order, which keeps HiGHS on the vertex it reaches with two rows
+    per member: for each distinct member phi (first occurrence),
+    phi.g - t <= b when the positive part of phi sums above b, and
+    -phi.g - t <= -b when its negative part sums below b; the box bounds
+    already satisfy the others.  achieved_norm covers every member and
+    comes from a final exact pass, never from the solver's objective.
     """
     from scipy.optimize import linprog  # scipy loads only when an LP runs
 
@@ -137,20 +134,17 @@ def solve_dense_model(f: WeightFunction, family: AntiUniformFamily,
     target = fd * scaling
     Phi = family.matrix() / X
     b = Phi @ target
-    M = Phi.shape[0]
+    first = np.sort(np.unique(Phi, axis=0, return_index=True)[1])
+    P, bp = Phi[first], b[first]
+    upper = np.maximum(P, 0.0).sum(axis=1) > bp
+    lower = np.minimum(P, 0.0).sum(axis=1) < bp
+    A = np.concatenate([P[upper], -P[lower]])
+    A = np.hstack([A, np.full((A.shape[0], 1), -1.0)])
+    b_ub = np.concatenate([bp[upper], -bp[lower]])
     c = np.zeros(X + 1)
     c[-1] = 1.0
-    A = np.zeros((2 * M, X + 1))
-    A[:M, :X] = Phi
-    A[M:, :X] = -Phi
-    A[:, -1] = -1.0
-    b_ub = np.concatenate([b, -b])
     bounds = [(0.0, 1.0)] * X + [(0.0, None)]
-    options = {}
-    if maxiter is not None:
-        options["maxiter"] = maxiter
-    res = linprog(c, A_ub=A, b_ub=b_ub, bounds=bounds, method="highs",
-                  options=options or None)
+    res = linprog(c, A_ub=A, b_ub=b_ub, bounds=bounds, method="highs")
     if res.x is not None:
         g_arr = np.clip(res.x[:X], 0.0, 1.0)
         status = "optimal" if res.status == 0 else f"best-so-far:{res.message}"

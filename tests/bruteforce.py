@@ -314,3 +314,42 @@ def ref_build_family(sl, sys, ensemble, size, sets=None, seed=0):
                   "ensemble_seed": ensemble.master_seed,
                   "indicators": len(sets or [])}
     return np.array(rows), descriptors, provenance
+
+
+# --- reference copy of the full dense-model LP ----------------------------
+#
+# solve_dense_model used to hand HiGHS two rows per family member, with
+# duplicates and rows the box bounds satisfy.  That formulation is kept here
+# as the reference the reduced LP must equal bit for bit.  It works on plain
+# arrays, so this file still imports nothing from sparselab.
+
+def ref_solve_dense_model(fd, matrix, eps=0.0):
+    """(g, lp_optimum, iterations, status, achieved_norm) of the LP
+    min over 0 <= g <= 1 of max_i |<fd/(1+eps) - g, matrix_i>| with the
+    rows phi_i.g - t <= b_i and -phi_i.g - t <= -b_i for every member."""
+    import numpy as np
+    from scipy.optimize import linprog
+
+    X = fd.size
+    target = fd * (1.0 / (1.0 + eps))
+    Phi = matrix / X
+    b = Phi @ target
+    M = Phi.shape[0]
+    c = np.zeros(X + 1)
+    c[-1] = 1.0
+    A = np.zeros((2 * M, X + 1))
+    A[:M, :X] = Phi
+    A[M:, :X] = -Phi
+    A[:, -1] = -1.0
+    res = linprog(c, A_ub=A, b_ub=np.concatenate([b, -b]),
+                  bounds=[(0.0, 1.0)] * X + [(0.0, None)], method="highs")
+    if res.x is not None:
+        g = np.clip(res.x[:X], 0.0, 1.0)
+        status = "optimal" if res.status == 0 else f"best-so-far:{res.message}"
+        lp_opt = float(res.fun) if res.fun is not None else math.inf
+    else:
+        g = np.clip(target, 0.0, 1.0)
+        status = f"fallback:{res.message}"
+        lp_opt = math.inf
+    achieved = float(np.abs(Phi @ (target - g)).max())
+    return g, lp_opt, int(getattr(res, "nit", 0) or 0), status, achieved

@@ -151,15 +151,6 @@ def test_solve_scaled_variant(ap101, ens101):
     assert res.achieved_norm == pytest.approx(direct, abs=1e-12)
 
 
-def test_dense_model_json(ap101, ens101):
-    fam = build_family(ap101, ens101, 8, seed=0)
-    res = solve_dense_model(ens101.associated_measure(1), fam)
-    blob = res.to_json()
-    assert blob["family_size"] == 8
-    assert float(blob["achieved_norm"]) == res.achieved_norm
-    assert len(blob["g"]) == 101
-
-
 # --- counting lemma -------------------------------------------------------
 
 def test_counting_lemma_identical_functions():
