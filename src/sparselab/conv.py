@@ -31,8 +31,9 @@ Counting supports three evaluation modes:
               conv_1(f,..,f) at x, over the support of f (guarded by |S|);
   support  -- enumerate only tuples through the support of f: ordered support
               pairs completed in bulk where the system can (ap), the gather
-              engine for the other two-degrees-of-freedom systems,
-              vertex-restricted injection backtracking for copy systems;
+              engine for the other two-degrees-of-freedom systems, and
+              for copy systems the injections (systems.injections) of the
+              covered pattern vertices into the support's vertices;
   mc       -- sampled tuples, with a reported standard error.
 """
 
@@ -46,7 +47,7 @@ import numpy as np
 
 from .core import WeightFunction, inner_product
 from .systems import (ENUM_GUARD, APSystem, CopySystem,
-                      EnumerationGuardError, SequenceSystem)
+                      EnumerationGuardError, SequenceSystem, injections)
 
 CAP = 2.0
 # the FFT's cost in gather rows: FFT_FIXED per call, FFT_COST X log2 X per row
@@ -273,7 +274,7 @@ def _support_count(sys, f, guard):
     if supp.size == 0:
         return 0.0
     if isinstance(sys, CopySystem):
-        return _copy_support_count(sys, f, guard)
+        return _copy_support_count(sys, f)
     if not sys.claims_two_dof:
         raise ValueError("support mode needs two degrees of freedom or copies")
     if supp.size ** 2 * sys.k > guard:
@@ -292,57 +293,31 @@ def _support_count(sys, f, guard):
     return total / sys.size
 
 
-def _copy_support_count(sys, f, guard):
-    """Sum of injection products via backtracking restricted to vertices
-    incident to the support of f."""
+def _copy_support_count(sys, f):
+    """|S|^{-1} times the sum of prod_e f(phi(e)) over the injections phi of
+    the covered pattern vertices whose edge images all lie in the support
+    of f, times perm(n - covered, isolated) for the isolated vertices.  Each
+    product is multiplied in the order its edges close along the search,
+    which fixes its rounding."""
     ground = sys.ground
     arr = f.dense()
     vals = {}
-    verts = set()
     for i in f.support_indices():
-        e = ground.element(int(i))
-        vals[e] = float(arr[i])
-        verts.update(e)
-    verts = sorted(verts)
+        vals[ground.element(int(i))] = float(arr[i])
+    verts = sorted({w for e in vals for w in e})
     pattern = sys.pattern
-    covered = set(u for e in pattern.edges for u in e)
-    isolated = pattern.num_vertices - len(covered)
-    order = sorted(covered)
-    # edges become checkable once their last vertex (in `order`) is placed
-    rank_of = {u: t for t, u in enumerate(order)}
-    ready = {t: [] for t in range(len(order))}
-    for e in pattern.edges:
-        ready[max(rank_of[u] for u in e)].append(e)
+    order = sorted({u for e in pattern.edges for u in e})
+    step = {u: t for t, u in enumerate(order)}
+    closing = sorted(range(pattern.num_edges),
+                     key=lambda i: max(step[u] for u in pattern.edges[i]))
     total = 0.0
-    phi = {}
-    used = set()
-
-    def recurse(t, acc):
-        nonlocal total
-        if t == len(order):
-            total += acc
-            return
-        u = order[t]
-        for w in verts:
-            if w in used:
-                continue
-            phi[u] = w
-            used.add(w)
-            acc2 = acc
-            ok = True
-            for e in ready[t]:
-                img = tuple(sorted(phi[v] for v in e))
-                fv = vals.get(img, 0.0)
-                if fv == 0.0:
-                    ok = False
-                    break
-                acc2 *= fv
-            if ok:
-                recurse(t + 1, acc2)
-            used.discard(w)
-            del phi[u]
-
-    recurse(0, 1.0)
+    for imgs in injections(pattern, sys.n, order=order,
+                           allowed=dict.fromkeys(order, verts), host=vals):
+        acc = 1.0
+        for i in closing:
+            acc *= vals[imgs[i]]
+        total += acc
+    isolated = pattern.num_vertices - len(order)
     if isolated:
         total *= math.perm(sys.n - len(order), isolated)
     return total / sys.size
@@ -429,7 +404,7 @@ class WKernelValue:
     intersection_size: int
 
 
-def w_kernel(sys: SequenceSystem, mid_funcs, x, y, guard=ENUM_GUARD) -> WKernelValue:
+def w_kernel(sys: SequenceSystem, mid_funcs, x, y) -> WKernelValue:
     """W(x, y) = E over S_1(x) n S_k(y) of prod_{i=2..k-1} mid_i(s_i)."""
     if len(mid_funcs) != sys.k - 2:
         raise ValueError(f"need {sys.k - 2} middle functions")

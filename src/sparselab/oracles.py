@@ -21,7 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .sample import derive_seed
-from .systems import CopySystem, PatternHypergraph, SequenceSystem
+from .systems import (CopySystem, PatternHypergraph, SequenceSystem,
+                      injections)
 
 EXHAUSTIVE_GUARD = 2 ** 24
 
@@ -113,43 +114,13 @@ class HostGraph:
         return HostGraph.from_edges(
             n, [tuple(sorted((i, (i + 1) % n))) for i in range(n)])
 
-    def relabel(self, perm):
-        return HostGraph.from_edges(
-            self.n, [tuple(perm[u] for u in e) for e in self.edges], self.k)
-
-
-def _injections(host: HostGraph, K: PatternHypergraph):
-    """Yield all vertex maps [v_K] -> [n] preserving edges (as tuples)."""
-    v = K.num_vertices
-    # for each pattern vertex, the edges completed at its assignment step
-    ready = [[e for e in K.edges if max(e) == u] for u in range(v)]
-    phi = [-1] * v
-    used = [False] * host.n
-
-    def extend(u):
-        if u == v:
-            yield tuple(phi)
-            return
-        for w in range(host.n):
-            if used[w]:
-                continue
-            phi[u] = w
-            if all(tuple(sorted(phi[t] for t in e)) in host.edges
-                   for e in ready[u]):
-                used[w] = True
-                yield from extend(u + 1)
-                used[w] = False
-        phi[u] = -1
-
-    yield from extend(0)
-
 
 def supersaturation_count(G: HostGraph, K: PatternHypergraph) -> int:
     """Exact number of labeled copies: injections of V(K) into G preserving
     every edge."""
     if K.k != G.k:
         raise ValueError("pattern and host uniformity differ")
-    return sum(1 for _ in _injections(G, K))
+    return sum(1 for _ in injections(K, G.n, host=G.edges))
 
 
 # --- minimum counts over subsets and colourings ---------------------------
@@ -228,11 +199,9 @@ def varnavides_count(sys: SequenceSystem, rho, guard=EXHAUSTIVE_GUARD,
 
 def _copies_in_host(host: HostGraph, K: PatternHypergraph):
     """Distinct unordered copies, each as a frozenset of host edges."""
-    seen = set()
-    for phi in _injections(host, K):
-        img = frozenset(tuple(sorted(phi[u] for u in e)) for e in K.edges)
-        seen.add(img)
-    return sorted(seen, key=sorted)
+    return sorted({frozenset(imgs)
+                   for imgs in injections(K, host.n, host=host.edges)},
+                  key=sorted)
 
 
 def _mono_count(tuples_, col):
@@ -339,39 +308,13 @@ def ramsey_multiplicity(host: HostGraph, K: PatternHypergraph, r,
 def _has_copy_through(edge_set, new_edge, K, n):
     """Does edge_set + new_edge contain a copy of K using new_edge?"""
     all_edges = edge_set | {new_edge}
-    v = K.num_vertices
     for anchor in K.edges:
-        for img in itertools.permutations(new_edge):
-            phi = [-1] * v
-            used = set()
-            for u, w in zip(anchor, img):
-                phi[u] = w
-                used.add(w)
-            rest = [u for u in range(v) if phi[u] < 0]
-
-            def extend(pos):
-                if pos == len(rest):
-                    return all(tuple(sorted(phi[t] for t in e)) in all_edges
-                               for e in K.edges)
-                u = rest[pos]
-                for w in range(n):
-                    if w in used:
-                        continue
-                    phi[u] = w
-                    complete = [e for e in K.edges
-                                if u in e and all(phi[t] >= 0 for t in e)]
-                    if all(tuple(sorted(phi[t] for t in e)) in all_edges
-                           for e in complete):
-                        used.add(w)
-                        if extend(pos + 1):
-                            used.discard(w)
-                            return True
-                        used.discard(w)
-                phi[u] = -1
-                return False
-
-            if extend(0):
-                return True
+        order = list(anchor) + [u for u in range(K.num_vertices)
+                                if u not in anchor]
+        copies = injections(K, n, order=order, host=all_edges,
+                            allowed=dict.fromkeys(anchor, new_edge))
+        if next(copies, None) is not None:
+            return True
     return False
 
 
@@ -414,20 +357,17 @@ def tuples_within(sys: SequenceSystem, U, guard=10 ** 7):
 
     ap completes each a in U against U minus a in bulk (b = s_2 ascending);
     the other sequence kinds keep the rows of the fiber S_1(a) that lie in U;
-    copy systems backtrack vertex images over the sub-host spanned by U.
+    copy systems keep the injections whose edge images all lie in U
+    (systems.injections with U as the host), in lexicographic order of
+    the vertex map, and are not guarded.
     The guard bounds what each branch does: |U|^2 completions in bulk, the
     fiber rows scanned (|U|.|S_1|) otherwise.
     """
     U = sorted(int(u) for u in U)
-    out = []
     if isinstance(sys, CopySystem):
-        K = sys.pattern
-        host_edges = frozenset(sys.ground.element(u) for u in U)
-        host = HostGraph(sys.n, host_edges, K.k)
-        for phi in _injections(host, K):
-            out.append(tuple(sys.edge_rank([phi[u] for u in e])
-                             for e in K.edges))
-        return out
+        host = frozenset(sys.ground.element(u) for u in U)
+        return [tuple(sys.edge_rank(img) for img in imgs)
+                for imgs in injections(sys.pattern, sys.n, host=host)]
     bulk = hasattr(sys, "complete_pairs_bulk")
     if bulk and len(U) ** 2 > guard:
         raise ValueError(
@@ -436,6 +376,7 @@ def tuples_within(sys: SequenceSystem, U, guard=10 ** 7):
     inside = np.zeros(sys.ground.size, dtype=bool)
     inside[U] = True
     members = np.array(U, dtype=np.int64)
+    out = []
     rows_seen = 0
     for a in U:
         if bulk:

@@ -119,11 +119,6 @@ class PatternHypergraph:
         return PatternHypergraph(2, length, tuple(edges))
 
     @staticmethod
-    def complete_uniform(v, k):
-        return PatternHypergraph(
-            k, v, tuple(tuple(e) for e in itertools.combinations(range(v), k)))
-
-    @staticmethod
     def fano():
         """The seven-point plane as a 3-uniform pattern."""
         lines = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6),
@@ -609,6 +604,50 @@ class SchurSystem(SequenceSystem):
         return {"kind": "schur", "n": self.n}
 
 
+def injections(pattern, n, order=None, allowed=None, host=None):
+    """Edge images (phi(e_1), ..., phi(e_r)), each a sorted vertex tuple, of
+    the injective maps phi from the vertices in `order` (default all of
+    V(K), ascending) into range(n), lexicographic along `order`.
+
+    allowed[u] lists the images vertex u may take, ascending (default
+    range(n)).  With a host (any container of sorted vertex tuples) every
+    edge image must lie in it, tested as soon as the edge's last vertex in
+    `order` is placed.  Vertices left out of `order` must lie on no edge.
+    """
+    order = range(pattern.num_vertices) if order is None else list(order)
+    allowed = allowed or {}
+    step = {u: t for t, u in enumerate(order)}
+    closing = [[] for _ in order]
+    for i, e in enumerate(pattern.edges):
+        closing[max(step[u] for u in e)].append((i, e))
+    choices = [allowed.get(u, range(n)) for u in order]
+    last = len(order) - 1
+    phi = [0] * pattern.num_vertices
+    used = [False] * n
+    images = [None] * pattern.num_edges
+
+    def place(t):
+        u = order[t]
+        for w in choices[t]:
+            if used[w]:
+                continue
+            phi[u] = w
+            for i, e in closing[t]:
+                img = tuple(sorted([phi[v] for v in e]))
+                if host is not None and img not in host:
+                    break
+                images[i] = img
+            else:
+                if t == last:
+                    yield tuple(images)
+                else:
+                    used[w] = True
+                    yield from place(t + 1)
+                    used[w] = False
+
+    yield from place(0)
+
+
 class CopySystem(SequenceSystem):
     """Labelled ordered copies of a pattern K in the complete k-uniform
     hypergraph on n vertices.
@@ -660,16 +699,9 @@ class CopySystem(SequenceSystem):
         root = self.pattern.edges[j - 1]
         x_set = self.ground.element(x)
         others = [u for u in range(self.pattern.num_vertices) if u not in root]
-        rest_pool = [w for w in range(self.n) if w not in x_set]
-        rows = []
-        for root_img in itertools.permutations(x_set):
-            for rest_img in itertools.permutations(rest_pool, len(others)):
-                phi = {}
-                for u, w in zip(root, root_img):
-                    phi[u] = w
-                for u, w in zip(others, rest_img):
-                    phi[u] = w
-                rows.append(self.injection_tuple(phi))
+        rows = [[self.edge_rank(img) for img in imgs] for imgs in injections(
+            self.pattern, self.n, order=list(root) + others,
+            allowed=dict.fromkeys(root, x_set))]
         return np.array(rows, dtype=np.int64)
 
     def sample_fiber(self, j, x, count, seed):
@@ -696,36 +728,22 @@ class CopySystem(SequenceSystem):
         e_first = self.pattern.edges[0]
         e_last = self.pattern.edges[-1]
         x_set, y_set = self.ground.element(x), self.ground.element(y)
-        shared = [u for u in e_last if u in e_first]
-        rows = []
-        for root_img in itertools.permutations(x_set):
-            phi = dict(zip(e_first, root_img))
-            # e_last vertices already placed must land inside y
-            if any(phi[u] not in y_set for u in shared):
-                continue
-            free_last = [u for u in e_last if u not in phi]
-            target = [w for w in y_set if w not in [phi[u] for u in shared]]
-            if len(free_last) != len(target):
-                continue
-            for last_img in itertools.permutations(target):
-                phi2 = dict(phi)
-                for u, w in zip(free_last, last_img):
-                    phi2[u] = w
-                rest = [u for u in range(self.pattern.num_vertices) if u not in phi2]
-                pool = [w for w in range(self.n) if w not in phi2.values()]
-                if math.perm(len(pool), len(rest)) > guard:
-                    raise EnumerationGuardError("pair intersection exceeds guard")
-                for rest_img in itertools.permutations(pool, len(rest)):
-                    phi3 = dict(phi2)
-                    for u, w in zip(rest, rest_img):
-                        phi3[u] = w
-                    tup = self.injection_tuple(phi3)
-                    if tup[-1] == y:  # guard against shared-vertex edge cases
-                        rows.append(tup)
-        if not rows:
+        shared = set(e_first) & set(e_last)
+        both = [w for w in x_set if w in y_set]
+        # phi maps e_1 onto x and e_r onto y, so e_1 n e_r onto x n y
+        if len(shared) != len(both):
             return np.empty((0, self.k), dtype=np.int64)
+        placed = len(set(e_first) | set(e_last))
+        if math.perm(self.n - placed, self.pattern.num_vertices - placed) > guard:
+            raise EnumerationGuardError("pair intersection exceeds guard")
+        allowed = dict.fromkeys(e_first, [w for w in x_set if w not in both])
+        allowed.update(dict.fromkeys(e_last, [w for w in y_set if w not in both]))
+        allowed.update(dict.fromkeys(shared, both))
         # one row per injection: S is a set of injections, so no dedup here
-        return np.array(sorted(rows), dtype=np.int64)
+        return np.array(sorted(
+            tuple(self.edge_rank(img) for img in imgs)
+            for imgs in injections(self.pattern, self.n, allowed=allowed)),
+            dtype=np.int64)
 
     def tuples(self, guard=ENUM_GUARD):
         if self.size > guard:
@@ -868,7 +886,10 @@ def verify_two_dof(sys: SequenceSystem, mode="exhaustive", samples=2000, seed=0,
                                "s": list(s), "t": list(t)}
         else:
             x = int(rng.integers(0, X))
-            row = sys.sample_fiber(1, x, 1, int(rng.integers(0, 2 ** 62)))[0]
+            row_seed = int(rng.integers(0, 2 ** 62))
+            if sys.fiber_count(1, x) == 0:
+                continue    # empty S_1(x), as non-homogeneous systems have
+            row = sys.sample_fiber(1, x, 1, row_seed)[0]
             s = tuple(int(v) for v in row)
             t = sys.complete_pair(int(i), int(j), s[i - 1], s[j - 1])
             if t != s:

@@ -37,6 +37,17 @@ def test_verify_system_failure_gives_exit_one(capsys):
     assert not json.loads(out)["ok"]
 
 
+def test_sampled_two_dof_skips_empty_fibers(capsys):
+    # n = 701 is past the exhaustive budget, so two-dof is probed; the
+    # probes that land on x >= n - 2, where S_1(x) is empty, are skipped
+    code, out, _ = run_cli(capsys, "verify-system", "--system", "interval-ap",
+                           "--n", "701", "--k", "3")
+    assert code == 1
+    report = json.loads(out)
+    assert report["two_dof_mode"] == "sampled" and report["two_dof"]
+    assert not report["ok"] and not report["homogeneous"]
+
+
 def test_usage_errors_give_exit_two(capsys):
     code, _, err = run_cli(capsys, "oracle", "no-such-oracle")
     assert code == 2
@@ -127,6 +138,19 @@ def test_oracle_commands(capsys):
     code, out, _ = run_cli(capsys, "oracle", "free-subset", "--system", "ap",
                            "--n", "101", "--k", "3", "--p", "0.1")
     assert code == 0 and json.loads(out)["certified"]
+
+
+FROZEN_COPY_CLI = json.loads(
+    (Path(__file__).parent / "frozen_copy_cli.json").read_text())
+
+
+@pytest.mark.parametrize("case", FROZEN_COPY_CLI,
+                         ids=[c["argv"][0] for c in FROZEN_COPY_CLI])
+def test_copy_system_commands_frozen(capsys, case):
+    # conditions reaches pair_intersection through w_kernel, the sweep the
+    # support-mode count, extremal the copy search through a new edge
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert (code, out) == (case["code"], case["stdout"])
 
 
 def test_dense_model_command(capsys):
