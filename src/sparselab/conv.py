@@ -19,16 +19,18 @@ Additive Combinatorics, ch. 4), so one padded real FFT gives it at every x.
 
 convolve also takes stacked (B, X) arguments, B evaluations in one call;
 the FFT transforms them in chunks under BATCH_ELEMENTS, the gather row by
-row.  For B rows the FFT is taken when the gather would read more fiber
-rows, B |points| |S_j|, than FFT_FIXED + B * FFT_COST * X log2 X (a cost per
-call plus one per row).  For one row that switches at 38, 14 and 15 points
-at n = 101, 1009 and 10007; interleaved timings put the crossover at about
-36, 8-12 and 15-16.  256 rows at n = 101 switch at 8 points.
+row.  convolution_cost prices B rows in gather rows: B |points| |S_j| on
+the gather, FFT_FIXED + B * FFT_COST * X log2 X on the FFT (a cost per call
+plus one per row), which convolve runs where it is cheaper.  For one row that
+switches at 38, 14 and 15 points at n = 101, 1009 and 10007; interleaved
+timings put the crossover at about 36, 8-12 and 15-16.  256 rows at n = 101
+switch at 8 points.  Every convolution guard, and verify's choice of full-X
+over sampled probes, compares this cost with its limit.
 
 Counting supports three evaluation modes:
 
   exact    -- the gather engine: sum_x f(x) times the fiber sum of
-              conv_1(f,..,f) at x, over the support of f (guarded by |S|);
+              conv_1(f,..,f) at x, over the support of f (|supp f| |S_1| rows);
   support  -- enumerate only tuples through the support of f: ordered support
               pairs completed in bulk where the system can (ap), the gather
               engine for the other two-degrees-of-freedom systems, and
@@ -130,14 +132,19 @@ def _smooth_length(m):
     return best
 
 
-def _use_fft(sys, j, npoints, rows=1):
-    """The cost rule for `rows` stacked evaluations: the FFT (3-term ap, odd
-    n) when the gather would read more fiber rows than FFT_FIXED + rows *
-    FFT_COST * X log2 X."""
+def convolution_cost(sys, j, npoints, rows=1, gather_only=False):
+    """(work, fft) for `rows` stacked conv_j evaluations at `npoints` points:
+    the work, in gather rows, of the evaluator convolve runs, and whether
+    that is the FFT.  The gather reads rows * npoints * |S_j| fiber rows; on
+    3-term ap over odd n the FFT costs FFT_FIXED + rows * FFT_COST * X log2 X
+    and runs where that is smaller.  gather_only prices the gather alone."""
+    gather = rows * npoints * max(sys.fiber_size(j), 1)
+    if gather_only or not (isinstance(sys, APSystem) and sys.k == 3
+                           and sys.n % 2 == 1):
+        return gather, False
     X = sys.ground.size
-    return (isinstance(sys, APSystem) and sys.k == 3 and sys.n % 2 == 1
-            and rows * npoints * sys.fiber_size(j)
-            > FFT_FIXED + rows * FFT_COST * X * math.log2(X))
+    fft = FFT_FIXED + rows * FFT_COST * X * math.log2(X)
+    return (math.ceil(fft), True) if gather > fft else (gather, False)
 
 
 def _fft_means(sys, j, arrs, points):
@@ -179,9 +186,10 @@ def _fft_means(sys, j, arrs, points):
 
 
 def _means(sys, j, arrs, points):
-    """conv_j at points by the evaluator the cost rule picks."""
+    """conv_j at points by the evaluator convolution_cost picks."""
     stacked = bool(arrs) and arrs[0].ndim == 2
-    if _use_fft(sys, j, points.size, len(arrs[0]) if stacked else 1):
+    if convolution_cost(sys, j, points.size,
+                        len(arrs[0]) if stacked else 1)[1]:
         return _fft_means(sys, j, arrs, points)
     if not stacked:
         return _fiber_means(sys, j, arrs, points)
@@ -189,14 +197,13 @@ def _means(sys, j, arrs, points):
                      for row in zip(*arrs)]).reshape(-1, points.size)
 
 
-def convolve(sys: SequenceSystem, j: int, funcs, xs=None,
-             guard=ENUM_GUARD) -> ConvolutionResult:
+def convolve(sys: SequenceSystem, j: int, funcs, xs=None) -> ConvolutionResult:
     """conv_j of k-1 functions (increasing position order, position j skipped).
 
     Arguments are WeightFunctions or arrays over X; with (B, X) arrays the
     values are (B, |points|), row r from row r of every argument.  xs=None
-    evaluates at every x (guarded per row), else only at the given indices
-    (repeats allowed).
+    evaluates at every x (refused when convolution_cost of one row there
+    exceeds ENUM_GUARD), else only at the given indices (repeats allowed).
     """
     if not 1 <= j <= sys.k:
         raise ValueError(f"position j={j} out of range 1..{sys.k}")
@@ -204,10 +211,10 @@ def convolve(sys: SequenceSystem, j: int, funcs, xs=None,
     X = sys.ground.size
     if xs is None:
         points = np.arange(X)
-        if X * max(sys.fiber_size(j), 1) > guard:
+        work = convolution_cost(sys, j, X)[0]
+        if work > ENUM_GUARD:
             raise EnumerationGuardError(
-                f"full exact convolution needs {X * sys.fiber_size(j)} rows; "
-                "pass xs=")
+                f"full exact convolution needs {work} rows; pass xs=")
     else:
         points = np.asarray(xs, dtype=np.int64).reshape(-1)
         if points.size and (points.min() < 0 or points.max() >= X):
@@ -218,43 +225,42 @@ def convolve(sys: SequenceSystem, j: int, funcs, xs=None,
                              _means(sys, j, arrs, points))
 
 
-def capped_convolve(sys, j, funcs, xs=None,
-                    guard=ENUM_GUARD) -> ConvolutionResult:
+def capped_convolve(sys, j, funcs, xs=None) -> ConvolutionResult:
     """conv_j clipped to [0, 2]; arguments must be non-negative.  The lower
     clip removes FFT round-off below an exact zero."""
     arrs = _dense_list(sys, funcs, sys.k - 1)
     if any(a.size and a.min() < 0 for a in arrs):
         raise ValueError("capped convolution needs non-negative arguments")
-    res = convolve(sys, j, arrs, xs, guard)
+    res = convolve(sys, j, arrs, xs)
     res.values = np.clip(res.values, 0.0, CAP)
     return res
 
 
 def count_functional(sys: SequenceSystem, f: WeightFunction, mode="auto",
-                     samples=0, seed=0, guard=ENUM_GUARD):
+                     samples=0, seed=0):
     """E_{s in S} f(s_1)...f(s_k).  Returns (value, stderr); stderr is 0 for
     the deterministic modes."""
     if f.domain != sys.ground:
         raise ValueError("function domain does not match the system")
+    supp = f.support_indices()
+    exact_work = convolution_cost(sys, 1, supp.size, gather_only=True)[0]
     if mode == "auto":
-        supp = f.support_indices()
-        if sys.claims_two_dof and supp.size ** 2 * sys.k <= guard:
+        if sys.claims_two_dof and supp.size ** 2 * sys.k <= ENUM_GUARD:
             mode = "support"
-        elif isinstance(sys, CopySystem) and supp.size * sys.k <= guard:
+        elif isinstance(sys, CopySystem) and supp.size * sys.k <= ENUM_GUARD:
             mode = "support"
-        elif sys.size * sys.k <= guard:
+        elif exact_work <= ENUM_GUARD:
             mode = "exact"
         else:
             raise EnumerationGuardError(
                 f"|S| = {sys.size} and support {supp.size} both exceed the "
                 "guard; use mode='mc'")
     if mode == "exact":
-        if sys.size * sys.k > guard:
-            raise EnumerationGuardError(
-                f"exact count needs {sys.size * sys.k} evaluations")
-        return _gather_count(sys, f.dense(), f.support_indices()), 0.0
+        if exact_work > ENUM_GUARD:
+            raise EnumerationGuardError(f"exact count needs {exact_work} rows")
+        return _gather_count(sys, f.dense(), supp), 0.0
     if mode == "support":
-        return _support_count(sys, f, guard), 0.0
+        return _support_count(sys, f, supp), 0.0
     if mode == "mc":
         if samples <= 0:
             raise ValueError("mode='mc' needs samples > 0")
@@ -269,15 +275,14 @@ def _gather_count(sys, arr, points):
     return float(np.dot(arr[points], sums)) / sys.size
 
 
-def _support_count(sys, f, guard):
-    supp = f.support_indices()
+def _support_count(sys, f, supp):
     if supp.size == 0:
         return 0.0
     if isinstance(sys, CopySystem):
         return _copy_support_count(sys, f)
     if not sys.claims_two_dof:
         raise ValueError("support mode needs two degrees of freedom or copies")
-    if supp.size ** 2 * sys.k > guard:
+    if supp.size ** 2 * sys.k > ENUM_GUARD:
         raise EnumerationGuardError(
             f"support enumeration needs {supp.size ** 2 * sys.k} completions")
     arr = f.dense()
@@ -348,7 +353,7 @@ def _mc_count(sys, f, samples, seed):
 
 
 def split_capped_count(sys: SequenceSystem, fs, mode="exact", tuple_samples=0,
-                       x_samples=0, seed=0, guard=ENUM_GUARD):
+                       x_samples=0, seed=0):
     """E over index tuples (i_1..i_k) in [m]^k of
     <f_{i_1}, capped conv_1(f_{i_2},..,f_{i_k})>.
 
@@ -363,15 +368,15 @@ def split_capped_count(sys: SequenceSystem, fs, mode="exact", tuple_samples=0,
     k = sys.k
     X = sys.ground.size
     if mode == "exact":
-        work = m ** (k - 1) * X * max(sys.fiber_size(1), 1)
-        if work > guard:
+        work = convolution_cost(sys, 1, X, rows=m ** (k - 1))[0]
+        if work > ENUM_GUARD:
             raise EnumerationGuardError(
                 f"exact split count needs {work} rows; use mode='mc'")
         combos = list(np.ndindex(*([m] * (k - 1))))
         stacks = [np.array([arrs[c[slot]] for c in combos])
                   for slot in range(k - 1)]
         # k = 1 stacks nothing: one combination, a 1-D result
-        res = capped_convolve(sys, 1, stacks, guard=guard)
+        res = capped_convolve(sys, 1, stacks)
         total = 0.0
         for row in np.atleast_2d(res.values):
             total += inner_product(fbar, WeightFunction(sys.ground, values=row))

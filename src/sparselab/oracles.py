@@ -359,15 +359,22 @@ def tuples_within(sys: SequenceSystem, U, guard=10 ** 7):
     the other sequence kinds keep the rows of the fiber S_1(a) that lie in U;
     copy systems keep the injections whose edge images all lie in U
     (systems.injections with U as the host), in lexicographic order of
-    the vertex map, and are not guarded.
+    the vertex map.
     The guard bounds what each branch does: |U|^2 completions in bulk, the
-    fiber rows scanned (|U|.|S_1|) otherwise.
+    fiber rows scanned (|U|.|S_1|) for the other sequence kinds, the tuples
+    found for copies.
     """
     U = sorted(int(u) for u in U)
     if isinstance(sys, CopySystem):
         host = frozenset(sys.ground.element(u) for u in U)
-        return [tuple(sys.edge_rank(img) for img in imgs)
-                for imgs in injections(sys.pattern, sys.n, host=host)]
+        found = itertools.islice(injections(sys.pattern, sys.n, host=host),
+                                 guard + 1)
+        out = [tuple(sys.edge_rank(img) for img in imgs) for imgs in found]
+        if len(out) > guard:
+            raise ValueError(
+                f"support enumeration finds at least {guard + 1} copies "
+                f"inside U (|U| = {len(U)}), over the guard {guard}")
+        return out
     bulk = hasattr(sys, "complete_pairs_bulk")
     if bulk and len(U) ** 2 > guard:
         raise ValueError(

@@ -793,7 +793,6 @@ def verify_homogeneity(sys: SequenceSystem, sample=None, seed=0,
     X = sys.ground.size
     if sample is None:
         xs = range(X)
-        budget = X
         for j in range(1, sys.k + 1):
             budget_j = X * max(sys.fiber_size(j), 1)
             if budget_j > guard:
@@ -862,9 +861,9 @@ def verify_two_dof(sys: SequenceSystem, mode="exhaustive", samples=2000, seed=0,
     # sampled
     rng = np.random.default_rng(seed)
     X = sys.ground.size
-    failures = 0
+    failures = skipped = 0
     witness = None
-    for probe in range(samples):
+    for _ in range(samples):
         i, j = sorted(rng.choice(np.arange(1, k + 1), size=2, replace=False))
         if isinstance(sys, CopySystem):
             phi = sys.sample_injection(int(rng.integers(0, 2 ** 62)))
@@ -888,7 +887,8 @@ def verify_two_dof(sys: SequenceSystem, mode="exhaustive", samples=2000, seed=0,
             x = int(rng.integers(0, X))
             row_seed = int(rng.integers(0, 2 ** 62))
             if sys.fiber_count(1, x) == 0:
-                continue    # empty S_1(x), as non-homogeneous systems have
+                skipped += 1    # empty S_1(x), as non-homogeneous systems have
+                continue
             row = sys.sample_fiber(1, x, 1, row_seed)[0]
             s = tuple(int(v) for v in row)
             t = sys.complete_pair(int(i), int(j), s[i - 1], s[j - 1])
@@ -898,7 +898,7 @@ def verify_two_dof(sys: SequenceSystem, mode="exhaustive", samples=2000, seed=0,
                     witness = {"positions": (int(i), int(j)), "s": list(s),
                                "completed": None if t is None else list(t)}
     return SystemReport("two_dof", failures == 0,
-                        detail={"mode": "sampled", "probes": samples,
+                        detail={"mode": "sampled", "probes": samples - skipped,
                                 "failures": failures},
                         witness=witness)
 

@@ -31,12 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conv import CAP, capped_convolve, convolve, w_kernel
+from .conv import CAP, capped_convolve, convolution_cost, convolve, w_kernel
 from .core import WeightFunction, inner_product, lp_norm
 from .sample import derive_seed, sample_ensemble, uniform01
 from .systems import SequenceSystem
 
-# full-X convolution evaluation is used below this much fiber work
+# convolutions are evaluated on all of X while one row there costs at most
+# this much (conv.convolution_cost, in gather rows), else at sampled x
 EXACT_FULL_GUARD = 4 * 10 ** 6
 
 
@@ -70,16 +71,6 @@ class BasicAntiUniform:
     detail: dict = field(default_factory=dict)
 
 
-def _distinct_tuples(m, length):
-    if length == 0:
-        return [()]
-    return list(itertools.permutations(range(1, m + 1), length))
-
-
-def _full_eval_ok(sys, guard=EXACT_FULL_GUARD):
-    return sys.ground.size * max(sys.fiber_size(1), 1) <= guard
-
-
 def _probe(sys, j, args, exact, rng, x_samples):
     """conv_j of args on all of X if exact, else at x_samples points drawn
     from rng."""
@@ -89,8 +80,7 @@ def _probe(sys, j, args, exact, rng, x_samples):
 
 def sample_anti_uniform(sys: SequenceSystem, ensemble, j, indices,
                         g_mode="random_indicator", g_value=0.5,
-                        f_mode="full", seed=0,
-                        guard=EXACT_FULL_GUARD) -> BasicAntiUniform:
+                        f_mode="full", seed=0) -> BasicAntiUniform:
     """One basic anti-uniform function, evaluated on all of X: the one row
     of anti_uniform_matrix for this profile."""
     k = sys.k
@@ -109,14 +99,13 @@ def sample_anti_uniform(sys: SequenceSystem, ensemble, j, indices,
         raise ValueError(f"bad g_mode {g_mode!r}, g_value {g_value!r} or "
                          f"f_mode {f_mode!r}")
     row = anti_uniform_matrix(
-        sys, ensemble, [(j, indices, g_mode, g_value, f_mode, seed)], guard)
+        sys, ensemble, [(j, indices, g_mode, g_value, f_mode, seed)])
     return BasicAntiUniform(WeightFunction(sys.ground, values=row[0]), j,
                             indices, g_mode,
                             detail={"f_mode": f_mode, "seed": seed})
 
 
-def anti_uniform_matrix(sys: SequenceSystem, ensemble, profiles,
-                        guard=EXACT_FULL_GUARD) -> np.ndarray:
+def anti_uniform_matrix(sys: SequenceSystem, ensemble, profiles) -> np.ndarray:
     """Basic anti-uniform functions on all of X, one row per valid profile
     (j, indices, g_mode, g_value, f_mode, seed): capped conv_j with g's in
     the positions before j -- the constant g_value, or ("random_indicator")
@@ -125,7 +114,7 @@ def anti_uniform_matrix(sys: SequenceSystem, ensemble, profiles,
     seeded derive_seed(seed, "f", slot).  All subsets come from one
     uniform01 call; each j is one capped convolution of (B, X) stacks."""
     k, X = sys.k, sys.ground.size
-    if profiles and not _full_eval_ok(sys, guard):
+    if profiles and convolution_cost(sys, 1, X)[0] > EXACT_FULL_GUARD:
         raise ValueError("system too large for full anti-uniform evaluation; "
                          "evaluate through check_properties with sampled x")
     mus = {i: ensemble.associated_measure(i).dense()
@@ -165,8 +154,9 @@ def check_properties(sys: SequenceSystem, ensemble, which=(0, 1, 2, 3),
                      p3_degree=3, p3_indicator_sets=(), seed=0) -> list:
     """Run the numbered property checks; returns one PropertyReport each.
 
-    Large systems are probed at x_samples random points per index tuple
-    (exact fiber averages at each probed x); small ones exactly over X.
+    Systems where one full-X convolution costs more than EXACT_FULL_GUARD
+    are probed at x_samples random points per index tuple (exact fiber
+    averages at each probed x); the others exactly over X.
     """
     if not set(which) <= {0, 1, 2, 3}:
         raise ValueError(f"property numbers lie in 0..3, got {list(which)}")
@@ -175,8 +165,8 @@ def check_properties(sys: SequenceSystem, ensemble, which=(0, 1, 2, 3),
     k = sys.k
     rng = np.random.default_rng(derive_seed(seed, "properties"))
     mus = ensemble.measures()
-    exact = _full_eval_ok(sys)
     X = sys.ground.size
+    exact = convolution_cost(sys, 1, X)[0] <= EXACT_FULL_GUARD
 
     if 0 in which:
         per_set = [abs(lp_norm(mu, 1) - 1.0) for mu in mus]
@@ -192,7 +182,7 @@ def check_properties(sys: SequenceSystem, ensemble, which=(0, 1, 2, 3),
 
     if 1 in which:
         combos = [(j, t) for j in range(1, k + 1)
-                  for t in _distinct_tuples(m, k - 1)]
+                  for t in itertools.permutations(range(1, m + 1), k - 1)]
         if len(combos) > pair_budget:
             pick = rng.choice(len(combos), size=pair_budget, replace=False)
             combos = [combos[i] for i in pick]
@@ -215,7 +205,7 @@ def check_properties(sys: SequenceSystem, ensemble, which=(0, 1, 2, 3),
         stat, worst = 0.0, None
         checked = 0
         for j in range(2, k + 1):
-            for tup in _distinct_tuples(m, k - j):
+            for tup in itertools.permutations(range(1, m + 1), k - j):
                 args = ([WeightFunction.constant(sys.ground, 1.0)] * (j - 1)
                         + [mus[i - 1] for i in tup])
                 vals = _probe(sys, j, args, exact, rng, x_samples)
@@ -275,10 +265,11 @@ def check_conditions(sys: SequenceSystem, p, trials=1, alpha=0.1, seed=0,
     """Check the two single-density conditions over `trials` fresh set draws."""
     k = sys.k
     X = sys.ground.size
-    exact = _full_eval_ok(sys)
+    exact = convolution_cost(sys, 1, X)[0] <= EXACT_FULL_GUARD
     stat1, worst1 = 0.0, None
     stat2, worst2 = 0.0, None
     hits = 0
+    one = WeightFunction.constant(sys.ground, 1.0)
     for trial in range(trials):
         ens = sample_ensemble(sys.ground, p, k, derive_seed(seed, "cond", trial))
         mus = ens.measures()
@@ -288,12 +279,7 @@ def check_conditions(sys: SequenceSystem, p, trials=1, alpha=0.1, seed=0,
             positions = [i for i in range(1, k + 1) if i != j]
             for width in range(1, k - 1):
                 for L in itertools.combinations(positions, width):
-                    args = []
-                    for i in positions:
-                        if i in L:
-                            args.append(mus[i - 1])
-                        else:
-                            args.append(WeightFunction.constant(sys.ground, 1.0))
+                    args = [mus[i - 1] if i in L else one for i in positions]
                     vals = _probe(sys, j, args, exact, rng, x_samples)
                     top = float(vals.max()) if vals.size else 0.0
                     if top > stat1:

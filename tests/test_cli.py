@@ -60,15 +60,34 @@ def test_usage_errors_give_exit_two(capsys):
 
 
 def test_enumeration_guard_gives_exit_two(capsys):
-    # the exact split count at n=1009 needs more rows than the guard allows
+    # the exact split count of 4-term progressions at n=1009 gathers more
+    # rows than the guard allows; there is no FFT for k = 4
     code, out, err = run_cli(capsys, "dense-model", "--system", "ap",
-                             "--n", "1009", "--k", "3", "--p", "0.12",
-                             "--family-size", "64")
+                             "--n", "1009", "--k", "4", "--p", "0.12",
+                             "--family-size", "16")
     assert code == 2
     assert out == ""
     payload = json.loads(err.strip().splitlines()[-1])
     assert payload["code"] == 2
     assert "exact split count needs" in payload["error"]
+
+
+def test_fft_priced_guards_admit_the_3ap_loop(capsys):
+    # on 3-term progressions over odd n the guards price the FFT: the exact
+    # split count at n = 1009 and property 3 on Z_10007 both run
+    code, out, _ = run_cli(capsys, "dense-model", "--system", "ap",
+                           "--n", "1009", "--k", "3", "--p", "0.12",
+                           "--family-size", "64")
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] and report["counting"]["mode"] == "exact"
+    code, out, _ = run_cli(capsys, "properties", "--system", "ap", "--n",
+                           "10007", "--k", "3", "--p", "0.08",
+                           "--properties", "0,1,2,3")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert [r["name"] for r in reports] == [f"property{i}" for i in range(4)]
+    assert reports[1]["detail"]["mode"] == "exact"
 
 
 def _error_payload(capsys, *argv):

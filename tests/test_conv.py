@@ -182,12 +182,16 @@ def test_count_functional_mc_consistent():
 
 
 def test_count_guard():
+    # the exact count gathers 10007 * 10006 rows over a full support
     sys = APSystem(10007, 3)
-    f = WeightFunction.indicator(sys.ground, [0])
+    f = WeightFunction.constant(sys.ground, 1.0)
     with pytest.raises(EnumerationGuardError):
         count_functional(sys, f, mode="exact")
+    # a full-X gather for 4-term progressions: no FFT to fall back on
+    sys4 = APSystem(10007, 4)
+    g = WeightFunction.constant(sys4.ground, 1.0)
     with pytest.raises(EnumerationGuardError):
-        convolve(sys, 1, [f, f])  # full evaluation too big
+        convolve(sys4, 1, [g, g, g])
 
 
 def test_split_capped_count_matches_bruteforce():

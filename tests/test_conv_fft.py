@@ -1,7 +1,8 @@
 """Tests of the FFT evaluator for 3-term progressions in conv.
 
-convolve hands ap k = 3 over odd n to conv._fft_means when the gather would
-read more fiber rows than FFT_FIXED + FFT_COST * X log2 X per row.  The FFT values are checked
+convolve hands ap k = 3 over odd n to conv._fft_means when
+conv.convolution_cost finds the gather would read more fiber rows than
+FFT_FIXED + FFT_COST * X log2 X per row.  The FFT values are checked
 against the gather engine and against the definition of conv_j written out
 from brute-force fibers; the routing rule is checked on both sides.
 """
@@ -12,8 +13,8 @@ import numpy as np
 import pytest
 
 from sparselab import conv
-from sparselab.conv import (_fft_means, _fiber_means, _use_fft,
-                            capped_convolve, convolve)
+from sparselab.conv import (_fft_means, _fiber_means, capped_convolve,
+                            convolution_cost, convolve)
 from sparselab.core import WeightFunction, make_measure
 from sparselab.systems import APSystem, PolyAPSystem
 
@@ -56,7 +57,7 @@ def test_fft_matches_gather_and_definition(n, allow_d0):
     for j in (1, 2, 3):
         # n = 11 sits below the fixed cost of the rule: convolve gathers,
         # and the FFT values are checked on their own
-        assert _use_fft(sys, j, points.size) == (n != 11)
+        assert convolution_cost(sys, j, points.size)[1] == (n != 11)
         fft = _fft_means(sys, j, arrs, points)
         gather = _fiber_means(sys, j, arrs, points)
         got = convolve(sys, j, funcs, xs=xs).values
@@ -74,7 +75,7 @@ def test_fft_sampled_points_with_repeats_and_empty():
     funcs = [WeightFunction(sys.ground, values=a) for a in arrs]
     xs = np.array([5, 5, 100, 0, 5, 37] * 8)
     for j in (1, 2, 3):
-        assert _use_fft(sys, j, xs.size)
+        assert convolution_cost(sys, j, xs.size)[1]
         res = convolve(sys, j, funcs, xs=xs)
         assert res.values.shape == xs.shape
         assert np.array_equal(res.at, xs)
@@ -89,7 +90,7 @@ def test_fft_path_still_rejects_points_out_of_range():
     sys = APSystem(101, 3)
     f = WeightFunction.constant(sys.ground, 1.0)
     many = list(range(60))
-    assert _use_fft(sys, 1, len(many) + 1)
+    assert convolution_cost(sys, 1, len(many) + 1)[1]
     for bad in (-1, -101, 101):
         with pytest.raises(ValueError, match="out of range"):
             convolve(sys, 1, [f, f], xs=many + [bad])
@@ -105,7 +106,7 @@ def test_other_systems_stay_on_the_gather(sys):
     points = np.arange(sys.ground.size)
     with mock.patch.object(conv, "_fft_means", side_effect=AssertionError):
         for j in range(1, sys.k + 1):
-            assert not _use_fft(sys, j, points.size)
+            assert not convolution_cost(sys, j, points.size)[1]
             got = convolve(sys, j, funcs).values
             assert np.array_equal(got, _fiber_means(sys, j, arrs, points))
 

@@ -44,7 +44,7 @@ def test_family_equals_per_member_loop_fft_side(size, seed):
     # 33 is the constant plus every structured profile for k = 3, m = 4;
     # 34 adds the first random profile
     sys = APSystem(101, 3)
-    assert conv._use_fft(sys, 1, sys.n)
+    assert conv.convolution_cost(sys, 1, sys.n)[1]
     _assert_equal_to_reference(sys, _ensemble(sys, seed), size, seed)
 
 
@@ -59,7 +59,7 @@ def test_family_equals_per_member_loop_at_n1009(size):
                                  APSystem(101, 4)],
                          ids=["polyap", "ap-even-n", "ap-k4"])
 def test_family_equals_per_member_loop_gather_side(sys):
-    assert not conv._use_fft(sys, 1, sys.ground.size, 256)
+    assert not conv.convolution_cost(sys, 1, sys.ground.size, 256)[1]
     for seed in (3, 4):
         _assert_equal_to_reference(sys, _ensemble(sys, seed), 80, seed)
 

@@ -24,8 +24,8 @@ from sparselab.oracles import (
     varnavides_count,
 )
 from sparselab.sample import derive_seed, sample_subset
-from sparselab.systems import (APSystem, PatternHypergraph, SchurSystem,
-                               SequenceSystem, build_system)
+from sparselab.systems import (APSystem, CopySystem, PatternHypergraph,
+                               SchurSystem, SequenceSystem, build_system)
 
 from bruteforce import (brute_aps, ref_free_subset, ref_min_mono_exhaustive,
                         ref_min_mono_local_search, ref_tuples_within_pairs)
@@ -343,6 +343,20 @@ def test_tuples_within_guard_counts_scanned_fiber_rows():
         tuples_within(sys, U, guard=2000)
     assert len(tuples_within(sys, U, guard=30 * 98)) == len(
         tuples_within(sys, U))
+
+
+def test_tuples_within_guard_counts_copies_found():
+    # every C4 in K_8 lies inside U = all 28 edges: 8 * 7 * 6 * 5 = 1680
+    sys = CopySystem(8, C4)
+    U = range(28)
+    with pytest.raises(ValueError, match=r"finds at least 2 copies .*"
+                                         r"\|U\| = 28.*guard 1$"):
+        tuples_within(sys, U, guard=1)
+    everything = tuples_within(sys, U)
+    assert len(everything) == 1680
+    assert tuples_within(sys, U, guard=1680) == everything
+    with pytest.raises(ValueError, match="guard 1679"):
+        tuples_within(sys, U, guard=1679)
 
 
 class FiberOnlyAP(SequenceSystem):

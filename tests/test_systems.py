@@ -284,3 +284,22 @@ def test_pattern_validation():
         PatternHypergraph(2, 3, ((0, 1), (0, 1)))
     with pytest.raises(ValueError):
         PatternHypergraph(2, 2, ((0, 3),))
+
+
+def test_sampled_two_dof_reports_the_probes_made():
+    # interval-ap: S_1(x) is empty for x >= n - 2; a replay of the draws
+    # counts the probes that land there and are skipped
+    n, samples, seed = 41, 500, 3
+    sys = build_system({"kind": "interval-ap", "n": n, "k": 3})
+    rng = np.random.default_rng(seed)
+    skipped = 0
+    for _ in range(samples):
+        rng.choice(np.arange(1, 4), size=2, replace=False)
+        x = int(rng.integers(0, n))
+        rng.integers(0, 2 ** 62)
+        skipped += x >= n - 2
+    assert skipped > 0
+    rep = verify_two_dof(sys, mode="sampled", samples=samples, seed=seed)
+    assert rep.detail["probes"] == samples - skipped
+    full = verify_two_dof(APSystem(101, 3), mode="sampled", samples=samples)
+    assert full.detail["probes"] == samples

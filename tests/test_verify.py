@@ -145,7 +145,8 @@ def test_property3_with_indicators():
 @pytest.mark.parametrize("case", FROZEN["properties"],
                          ids=lambda c: f"n{c['n']}-k{c['k']}")
 def test_property_reports_frozen(case):
-    # n = 101 takes the exact branch, n = 10007 the sampled one
+    # n = 101 and 3-term n = 10007 (by FFT) take the exact branch, k = 4 at
+    # n = 10007 the sampled one
     sys = build_system(kind="ap", n=case["n"], k=case["k"])
     ens = sample_ensemble(sys.ground, case["p"], case["m"], case["ens_seed"])
     reports = check_properties(sys, ens, which=(0, 1, 2), **case["kw"])
