@@ -17,15 +17,21 @@ On 3-term progressions over odd n, convolve has a second evaluator: conv_j
 is a cyclic convolution once one argument is dilated by 2^{-1} (Tao & Vu,
 Additive Combinatorics, ch. 4), so one padded real FFT gives it at every x.
 
+Its forward transforms of WeightFunction arguments are memoised per function
+and dilation (plain, w -> g(w/2) or v -> h(-v)), and an entry lives as long
+as its function: a property check that convolves the same few measures
+again and again transforms each of them at most once per dilation.  Raw
+arrays are transformed on every call.
+
 convolve also takes stacked (B, X) arguments, B evaluations in one call;
-the FFT transforms them in chunks under BATCH_ELEMENTS, the gather row by
-row.  convolution_cost prices B rows in gather rows: B |points| |S_j| on
-the gather, FFT_FIXED + B * FFT_COST * X log2 X on the FFT (a cost per call
-plus one per row), which convolve runs where it is cheaper.  For one row that
-switches at 38, 14 and 15 points at n = 101, 1009 and 10007; interleaved
-timings put the crossover at about 36, 8-12 and 15-16.  256 rows at n = 101
-switch at 8 points.  Every convolution guard, and verify's choice of full-X
-over sampled probes, compares this cost with its limit.
+the FFT transforms them (never memoised) in chunks under BATCH_ELEMENTS, the
+gather row by row.  convolution_cost prices B rows in gather rows: B |points|
+|S_j| on the gather, FFT_FIXED + B * FFT_COST * X log2 X on the FFT (a cost
+per call plus one per row), which convolve runs where it is cheaper.  For
+one row that switches at 38, 14 and 15 points at n = 101, 1009 and 10007;
+interleaved timings put the crossover at about 36, 8-12 and 15-16.  256 rows
+at n = 101 switch at 8 points.  Every convolution guard, and verify's choice
+of full-X over sampled probes, compares this cost with its limit.
 
 Counting supports three evaluation modes:
 
@@ -37,12 +43,18 @@ Counting supports three evaluation modes:
               for copy systems the injections (systems.injections) of the
               covered pattern vertices into the support's vertices;
   mc       -- sampled tuples, with a reported standard error.
+
+auto takes support mode, else exact mode, where its guard admits it.  Past
+both, on 3-term ap over odd n, it counts E_x f(x) conv_1(f,f)(x) with conv_1
+from the FFT on all of X (the FFT count) while one full-X row fits the
+guard; otherwise it raises.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +69,8 @@ FFT_FIXED = 3000
 FFT_COST = 1.1
 # transform elements (rows x padded length) per FFT chunk
 BATCH_ELEMENTS = 2 ** 16
+# WeightFunction -> {dilation: rfft}; immutable functions keep their spectra
+_SPECTRA = weakref.WeakKeyDictionary()
 
 
 def _dense_list(sys, funcs, expect):
@@ -147,7 +161,20 @@ def convolution_cost(sys, j, npoints, rows=1, gather_only=False):
     return (math.ceil(fft), True) if gather > fft else (gather, False)
 
 
-def _fft_means(sys, j, arrs, points):
+def _spectrum(sys, a, dilation, L, func=None):
+    """rfft(a, L) of a (X,) or (B, X) array, dilated first ("half": w ->
+    a(w/2), "neg": v -> a(-v), None: as is).  With func, the WeightFunction
+    whose values a holds, the spectrum is memoised for func's lifetime."""
+    memo = {} if func is None else _SPECTRA.setdefault(func, {})
+    if dilation not in memo:
+        if dilation is not None:
+            a = np.take(a, sys.halve_negate[dilation == "neg"], axis=-1)
+        memo[dilation] = np.fft.rfft(a, L)
+        memo[dilation].flags.writeable = False
+    return memo[dilation]
+
+
+def _fft_means(sys, j, arrs, points, funcs=(None, None)):
     """conv_j at points on the 3-term ap system over odd n, for (X,) or
     stacked (B, X) arguments, read off one cyclic convolution (*, mod n) of
     the whole of X per row:
@@ -158,23 +185,24 @@ def _fft_means(sys, j, arrs, points):
 
     The subtracted product is the d = 0 term; with allow_d0 it stays and the
     divisor is n.  The cyclic convolution is the linear one, padded to a
-    5-smooth length and folded mod n.  Stacked rows go in chunks of
-    BATCH_ELEMENTS // length; each row's values equal a one-row call's."""
+    5-smooth length and folded mod n.  funcs holds, per argument, the
+    WeightFunction it came from (or None), whose spectra are memoised.
+    Stacked rows go in chunks of BATCH_ELEMENTS // length; each row's
+    values equal a one-row call's."""
     n = sys.n
-    g, h = arrs
+    (g, h), (fg, fh) = arrs, funcs
     if j == 3:
-        g, h = h, g
+        g, h, fg, fh = h, g, fh, fg
     at = 2 * points % n if j == 2 else points
+    dg, dh = (None, None) if j == 2 else ("half", "neg")
     L = _smooth_length(2 * n - 1)
     step = max(1, BATCH_ELEMENTS // L)
     out = np.empty(g.shape[:-1] + points.shape)
     for lo in range(0, len(g) if g.ndim == 2 else 1, step):
         rows = slice(lo, lo + step) if g.ndim == 2 else ...
-        a, b = gs, hs = g[rows], h[rows]
-        if j != 2:
-            half, neg = sys.halve_negate
-            a, b = np.take(gs, half, axis=-1), np.take(hs, neg, axis=-1)
-        lin = np.fft.irfft(np.fft.rfft(a, L) * np.fft.rfft(b, L), L)
+        gs, hs = g[rows], h[rows]
+        lin = np.fft.irfft(_spectrum(sys, gs, dg, L, fg)
+                           * _spectrum(sys, hs, dh, L, fh), L)
         cyc = lin[..., :n]
         cyc[..., :n - 1] += lin[..., n:2 * n - 1]
         if sys.allow_d0:
@@ -185,12 +213,12 @@ def _fft_means(sys, j, arrs, points):
     return out
 
 
-def _means(sys, j, arrs, points):
+def _means(sys, j, arrs, points, funcs):
     """conv_j at points by the evaluator convolution_cost picks."""
     stacked = bool(arrs) and arrs[0].ndim == 2
     if convolution_cost(sys, j, points.size,
                         len(arrs[0]) if stacked else 1)[1]:
-        return _fft_means(sys, j, arrs, points)
+        return _fft_means(sys, j, arrs, points, funcs)
     if not stacked:
         return _fiber_means(sys, j, arrs, points)
     return np.array([_fiber_means(sys, j, list(row), points)
@@ -221,8 +249,9 @@ def convolve(sys: SequenceSystem, j: int, funcs, xs=None) -> ConvolutionResult:
             raise ValueError("convolution points out of range")
     if len({a.shape for a in arrs}) > 1:
         raise ValueError("arguments must all be (X,) or all the same (B, X)")
+    funcs = [f if isinstance(f, WeightFunction) else None for f in funcs]
     return ConvolutionResult(j, None if xs is None else points,
-                             _means(sys, j, arrs, points))
+                             _means(sys, j, arrs, points, funcs))
 
 
 def capped_convolve(sys, j, funcs, xs=None) -> ConvolutionResult:
@@ -231,7 +260,7 @@ def capped_convolve(sys, j, funcs, xs=None) -> ConvolutionResult:
     arrs = _dense_list(sys, funcs, sys.k - 1)
     if any(a.size and a.min() < 0 for a in arrs):
         raise ValueError("capped convolution needs non-negative arguments")
-    res = convolve(sys, j, arrs, xs)
+    res = convolve(sys, j, funcs, xs)
     res.values = np.clip(res.values, 0.0, CAP)
     return res
 
@@ -252,9 +281,12 @@ def count_functional(sys: SequenceSystem, f: WeightFunction, mode="auto",
         elif exact_work <= ENUM_GUARD:
             mode = "exact"
         else:
-            raise EnumerationGuardError(
-                f"|S| = {sys.size} and support {supp.size} both exceed the "
-                "guard; use mode='mc'")
+            fft_work, fft = convolution_cost(sys, 1, sys.ground.size)
+            if not fft or fft_work > ENUM_GUARD:
+                raise EnumerationGuardError(
+                    f"|S| = {sys.size} and support {supp.size} both exceed "
+                    "the guard; use mode='mc'")
+            return _fft_count(sys, f), 0.0
     if mode == "exact":
         if exact_work > ENUM_GUARD:
             raise EnumerationGuardError(f"exact count needs {exact_work} rows")
@@ -273,6 +305,14 @@ def _gather_count(sys, arr, points):
     support of f) of f(x) times the fiber sum of conv_1(f,..,f) at x."""
     sums, _ = _fiber_sums(sys, 1, [arr] * (sys.k - 1), points)
     return float(np.dot(arr[points], sums)) / sys.size
+
+
+def _fft_count(sys, f):
+    """The count of f on 3-term ap over odd n: E_x f(x) conv_1(f,f)(x), with
+    conv_1 on all of X from the FFT (f's spectra memoised)."""
+    arr = f.dense()
+    conv1 = _fft_means(sys, 1, [arr, arr], np.arange(arr.size), (f, f))
+    return float(np.dot(arr, conv1)) / arr.size
 
 
 def _support_count(sys, f, supp):

@@ -204,10 +204,10 @@ def check_properties(sys: SequenceSystem, ensemble, which=(0, 1, 2, 3),
     if 2 in which:
         stat, worst = 0.0, None
         checked = 0
+        one = WeightFunction.constant(sys.ground, 1.0)
         for j in range(2, k + 1):
             for tup in itertools.permutations(range(1, m + 1), k - j):
-                args = ([WeightFunction.constant(sys.ground, 1.0)] * (j - 1)
-                        + [mus[i - 1] for i in tup])
+                args = [one] * (j - 1) + [mus[i - 1] for i in tup]
                 vals = _probe(sys, j, args, exact, rng, x_samples)
                 top = float(vals.max()) if vals.size else 0.0
                 checked += 1
@@ -241,7 +241,7 @@ def check_properties(sys: SequenceSystem, ensemble, which=(0, 1, 2, 3),
                     profile.append({"indicator": pickv})
                     continue
                 j = int(rng.integers(1, k + 1))
-                tup = tuple(rng.permutation(m)[: k - j] + 1)
+                tup = tuple(int(i) + 1 for i in rng.permutation(m)[: k - j])
                 phi = sample_anti_uniform(
                     sys, ensemble, j, tup,
                     g_mode="random_indicator",

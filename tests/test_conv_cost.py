@@ -95,12 +95,19 @@ def test_exact_count_guard_reads_the_gathered_support_rows(sys):
     _raises_iff_over(lambda: count_functional(sys, f, mode="exact"),
                      "ENUM_GUARD", conv, work)
     # auto: with the limit below |U|^2 k the support rule is out, and the
-    # exact branch is taken exactly when its gather rows fit
+    # exact branch is taken exactly when its gather rows fit; below that,
+    # 3-term ap counts by the FFT while one full-X row of it fits, and
+    # every other system raises
     assert supp.size ** 2 * sys.k > work
     want = count_functional(sys, f, mode="exact")
     with mock.patch.object(conv, "ENUM_GUARD", work):
         assert count_functional(sys, f) == want
-    with mock.patch.object(conv, "ENUM_GUARD", work - 1):
+    fft_work, fft = convolution_cost(sys, 1, sys.ground.size)
+    assert fft == (sys.k == 3 and isinstance(sys, APSystem))
+    if fft:
+        with mock.patch.object(conv, "ENUM_GUARD", work - 1):
+            assert count_functional(sys, f) == pytest.approx(want, rel=1e-12)
+    with mock.patch.object(conv, "ENUM_GUARD", min(work, fft_work) - 1):
         with pytest.raises(EnumerationGuardError, match="use mode='mc'"):
             count_functional(sys, f)
 

@@ -4,21 +4,28 @@ convolve hands ap k = 3 over odd n to conv._fft_means when
 conv.convolution_cost finds the gather would read more fiber rows than
 FFT_FIXED + FFT_COST * X log2 X per row.  The FFT values are checked
 against the gather engine and against the definition of conv_j written out
-from brute-force fibers; the routing rule is checked on both sides.
+from brute-force fibers; the routing rule is checked on both sides.  The
+memo of WeightFunction spectra must leave every value bit-identical, die
+with its functions, and cut a property round's forward transforms; the FFT
+count must agree with the exact count and with brute force.
 """
 
+import gc
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from sparselab import conv
-from sparselab.conv import (_fft_means, _fiber_means, capped_convolve,
-                            convolution_cost, convolve)
+from sparselab.conv import (_fft_count, _fft_means, _fiber_means,
+                            capped_convolve, convolution_cost, convolve,
+                            count_functional)
 from sparselab.core import WeightFunction, make_measure
+from sparselab.sample import derive_seed, sample_ensemble
 from sparselab.systems import APSystem, PolyAPSystem
+from sparselab.verify import check_properties
 
-from bruteforce import brute_convolution
+from bruteforce import brute_aps, brute_convolution, brute_count
 
 
 def _arrays(sys, seed):
@@ -149,3 +156,90 @@ def test_smooth_length_is_the_least_5_smooth_bound():
     for m in range(1, 3000):
         want = next(L for L in range(m, 2 * m + 1) if smooth(L))
         assert conv._smooth_length(m) == want
+
+
+# --- the memo of forward transforms ------------------------------------
+
+@pytest.mark.parametrize("n", [101, 10007])
+def test_memoised_spectra_leave_values_bit_identical(n):
+    sys = APSystem(n, 3)
+    arrs = _arrays(sys, n + 1)
+    funcs = [WeightFunction(sys.ground, values=a) for a in arrs]
+    for j in (1, 2, 3):
+        assert convolution_cost(sys, j, n)[1]
+        first = convolve(sys, j, funcs).values
+        assert funcs[0] in conv._SPECTRA and funcs[1] in conv._SPECTRA
+        again = convolve(sys, j, funcs).values
+        fresh = convolve(sys, j, [WeightFunction(sys.ground, values=a)
+                                  for a in arrs]).values
+        raw = convolve(sys, j, arrs).values
+        assert np.array_equal(again, first)
+        assert np.array_equal(fresh, first)
+        assert np.array_equal(raw, first)
+    # one spectrum per argument and dilation: plain (j = 2), halved, negated
+    assert set(conv._SPECTRA[funcs[0]]) == {None, "half", "neg"}
+
+
+def test_memo_dies_with_its_functions():
+    sys = APSystem(101, 3)
+    gc.collect()
+    before = len(conv._SPECTRA)
+    funcs = [WeightFunction(sys.ground, values=a) for a in _arrays(sys, 5)]
+    for j in (1, 2, 3):
+        convolve(sys, j, funcs)
+    assert len(conv._SPECTRA) == before + 2
+    del funcs
+    gc.collect()
+    assert len(conv._SPECTRA) == before
+
+
+def test_property_round_transforms_each_measure_once_per_dilation():
+    # the properties benchmark inputs: 17 full-X convolutions of 4 measures
+    # and the constant, which hold at most 4 * 3 + 3 distinct spectra
+    sys = APSystem(10007, 3)
+    for r in range(3):
+        ens = sample_ensemble(sys.ground, 8 * sys.n ** -0.5, 4,
+                              derive_seed(777, "properties", r))
+        with mock.patch.object(np.fft, "rfft", wraps=np.fft.rfft) as fwd, \
+                mock.patch.object(np.fft, "irfft", wraps=np.fft.irfft) as inv:
+            check_properties(sys, ens, which=(0, 1, 2), pair_budget=12,
+                             seed=r)
+        assert fwd.call_count <= 15
+        assert inv.call_count == 17
+
+
+# --- the FFT count -------------------------------------------------------
+
+@pytest.mark.parametrize("n", [101, 1009])
+def test_fft_count_matches_the_exact_count(n):
+    sys = APSystem(n, 3)
+    for f in [WeightFunction(sys.ground, values=a) for a in _arrays(sys, n)]:
+        want = count_functional(sys, f, mode="exact")[0]
+        assert _fft_count(sys, f) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("allow_d0", [False, True], ids=["d!=0", "d0"])
+def test_fft_count_matches_brute_force(allow_d0):
+    sys = APSystem(13, 3, allow_d0=allow_d0)
+    rng = np.random.default_rng(17)
+    arr = np.where(rng.uniform(size=13) < 0.6, rng.uniform(0.5, 2.0, 13), 0.0)
+    want = brute_count(brute_aps(13, 3, allow_d0),
+                       dict(enumerate(arr.tolist())))
+    got = _fft_count(sys, WeightFunction(sys.ground, values=arr))
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_auto_count_takes_the_fft_only_past_both_guards():
+    # a full support at n = 10007: 10^8 exact rows and 3 * 10^8 support
+    # completions are over ENUM_GUARD, one FFT row is not
+    sys = APSystem(10007, 3)
+    ones = WeightFunction.constant(sys.ground, 1.0)
+    assert count_functional(sys, ones) == (pytest.approx(1.0, rel=1e-12), 0.0)
+    f = WeightFunction(sys.ground, values=_arrays(sys, 3)[0])
+    with mock.patch.object(conv, "_fft_count", wraps=_fft_count) as fft:
+        assert count_functional(sys, f)[0] == _fft_count(sys, f)
+        # a small support stays in support mode
+        sparse = make_measure(sys.ground, range(0, sys.n, 10),
+                              "characteristic")
+        count_functional(sys, sparse)
+    assert fft.call_count == 1

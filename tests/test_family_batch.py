@@ -142,14 +142,17 @@ def test_exact_split_count_equals_per_combination_loop(sys):
 
 
 def test_batched_convolve_rows_equal_single_calls():
-    sys = APSystem(101, 3)
-    rng = np.random.default_rng(11)
-    g, h = rng.uniform(0.0, 2.0, (2, 9, sys.n))
-    for j in (1, 2, 3):
-        got = conv.convolve(sys, j, [g, h]).values
-        assert got.shape == (9, sys.n)
-        for r in range(9):
-            single = conv.convolve(sys, j, [g[r], h[r]]).values
-            assert np.array_equal(got[r], single)
+    # at n = 10007 a transform chunk holds 3 of the 9 rows
+    for n in (101, 10007):
+        sys = APSystem(n, 3)
+        rng = np.random.default_rng(11)
+        g, h = rng.uniform(0.0, 2.0, (2, 9, sys.n))
+        for j in (1, 2, 3):
+            got = conv.convolve(sys, j, [g, h]).values
+            assert got.shape == (9, sys.n)
+            for r in range(9):
+                single = conv.convolve(sys, j, [g[r], h[r]]).values
+                assert np.array_equal(got[r], single)
+    assert conv.BATCH_ELEMENTS // conv._smooth_length(2 * n - 1) == 3
     with pytest.raises(ValueError, match="same"):
         conv.convolve(sys, 1, [g, h[0]])

@@ -143,13 +143,15 @@ def test_property3_with_indicators():
 
 
 @pytest.mark.parametrize("case", FROZEN["properties"],
-                         ids=lambda c: f"n{c['n']}-k{c['k']}")
+                         ids=lambda c: f"n{c['n']}-k{c['k']}"
+                         + ("-p3" if 3 in c["which"] else ""))
 def test_property_reports_frozen(case):
     # n = 101 and 3-term n = 10007 (by FFT) take the exact branch, k = 4 at
-    # n = 10007 the sampled one
+    # n = 10007 the sampled one; the property-3 witness holds plain ints
     sys = build_system(kind="ap", n=case["n"], k=case["k"])
     ens = sample_ensemble(sys.ground, case["p"], case["m"], case["ens_seed"])
-    reports = check_properties(sys, ens, which=(0, 1, 2), **case["kw"])
+    reports = check_properties(sys, ens, which=tuple(case["which"]),
+                               **case["kw"])
     got = json.loads(json.dumps([r.to_json() for r in reports]))
     assert got == case["reports"]
 
