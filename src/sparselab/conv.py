@@ -33,7 +33,7 @@ interleaved timings put the crossover at about 36, 8-12 and 15-16.  256 rows
 at n = 101 switch at 8 points.  Every convolution guard, and verify's choice
 of full-X over sampled probes, compares this cost with its limit.
 
-Counting supports three evaluation modes:
+Counting is exact and has two evaluation modes:
 
   exact    -- the gather engine: sum_x f(x) times the fiber sum of
               conv_1(f,..,f) at x, over the support of f (|supp f| |S_1| rows);
@@ -41,8 +41,7 @@ Counting supports three evaluation modes:
               pairs completed in bulk where the system can (ap), the gather
               engine for the other two-degrees-of-freedom systems, and
               for copy systems the injections (systems.injections) of the
-              covered pattern vertices into the support's vertices;
-  mc       -- sampled tuples, with a reported standard error.
+              covered pattern vertices into the support's vertices.
 
 auto takes support mode, else exact mode, where its guard admits it.  Past
 both, on 3-term ap over odd n, it counts E_x f(x) conv_1(f,f)(x) with conv_1
@@ -265,10 +264,9 @@ def capped_convolve(sys, j, funcs, xs=None) -> ConvolutionResult:
     return res
 
 
-def count_functional(sys: SequenceSystem, f: WeightFunction, mode="auto",
-                     samples=0, seed=0):
-    """E_{s in S} f(s_1)...f(s_k).  Returns (value, stderr); stderr is 0 for
-    the deterministic modes."""
+def count_functional(sys: SequenceSystem, f: WeightFunction, mode="auto"):
+    """E_{s in S} f(s_1)...f(s_k), exactly: mode is "auto", "exact" or
+    "support"."""
     if f.domain != sys.ground:
         raise ValueError("function domain does not match the system")
     supp = f.support_indices()
@@ -285,18 +283,14 @@ def count_functional(sys: SequenceSystem, f: WeightFunction, mode="auto",
             if not fft or fft_work > ENUM_GUARD:
                 raise EnumerationGuardError(
                     f"|S| = {sys.size} and support {supp.size} both exceed "
-                    "the guard; use mode='mc'")
-            return _fft_count(sys, f), 0.0
+                    f"the guard of {ENUM_GUARD} rows for an exact count")
+            return _fft_count(sys, f)
     if mode == "exact":
         if exact_work > ENUM_GUARD:
             raise EnumerationGuardError(f"exact count needs {exact_work} rows")
-        return _gather_count(sys, f.dense(), supp), 0.0
+        return _gather_count(sys, f.dense(), supp)
     if mode == "support":
-        return _support_count(sys, f, supp), 0.0
-    if mode == "mc":
-        if samples <= 0:
-            raise ValueError("mode='mc' needs samples > 0")
-        return _mc_count(sys, f, samples, seed)
+        return _support_count(sys, f, supp)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -368,37 +362,12 @@ def _copy_support_count(sys, f):
     return total / sys.size
 
 
-def _mc_count(sys, f, samples, seed):
-    arr = f.dense()
-    rng = np.random.default_rng(seed)
-    xs = rng.integers(0, sys.ground.size, size=samples)
-    vals = np.empty(samples)
-    X = sys.ground.size
-    for t, x in enumerate(xs):
-        x = int(x)
-        rows = sys.fiber_count(1, x)
-        if rows == 0:
-            vals[t] = 0.0
-            continue
-        mat = sys.sample_fiber(1, x, 1, int(rng.integers(0, 2 ** 62)))
-        prod = 1.0
-        for i in range(sys.k):
-            prod *= arr[mat[0, i]]
-        # weight by the fiber mass at x: identically 1 for homogeneous
-        # systems, and it keeps non-homogeneous ones unbiased
-        vals[t] = prod * rows * X / sys.size
-    mean = float(vals.mean())
-    err = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return mean, err
-
-
-def split_capped_count(sys: SequenceSystem, fs, mode="exact", tuple_samples=0,
-                       x_samples=0, seed=0):
+def split_capped_count(sys: SequenceSystem, fs):
     """E over index tuples (i_1..i_k) in [m]^k of
-    <f_{i_1}, capped conv_1(f_{i_2},..,f_{i_k})>.
+    <f_{i_1}, capped conv_1(f_{i_2},..,f_{i_k})>, exactly.
 
     Linearity in the first slot lets us average the f_i once and loop only
-    over the m^{k-1} trailing tuples.  Returns (value, stderr, detail).
+    over the m^{k-1} trailing tuples, stacked into one capped convolution.
     """
     m = len(fs)
     if m == 0:
@@ -406,41 +375,20 @@ def split_capped_count(sys: SequenceSystem, fs, mode="exact", tuple_samples=0,
     arrs = _dense_list(sys, fs, m)
     fbar = WeightFunction(sys.ground, values=sum(arrs) / m)
     k = sys.k
-    X = sys.ground.size
-    if mode == "exact":
-        work = convolution_cost(sys, 1, X, rows=m ** (k - 1))[0]
-        if work > ENUM_GUARD:
-            raise EnumerationGuardError(
-                f"exact split count needs {work} rows; use mode='mc'")
-        combos = list(np.ndindex(*([m] * (k - 1))))
-        stacks = [np.array([arrs[c[slot]] for c in combos])
-                  for slot in range(k - 1)]
-        # k = 1 stacks nothing: one combination, a 1-D result
-        res = capped_convolve(sys, 1, stacks)
-        total = 0.0
-        for row in np.atleast_2d(res.values):
-            total += inner_product(fbar, WeightFunction(sys.ground, values=row))
-        return total / len(combos), 0.0, {"mode": "exact",
-                                          "tuples": len(combos)}
-    if mode != "mc":
-        raise ValueError(f"unknown mode {mode!r}")
-    if tuple_samples <= 0 or x_samples <= 0:
-        raise ValueError("mode='mc' needs tuple_samples and x_samples")
-    rng = np.random.default_rng(seed)
-    fbar_arr = fbar.dense()
-    draws = []
-    for _ in range(tuple_samples):
-        combo = rng.integers(0, m, size=k - 1)
-        # the same stream as x_samples scalar draws, so seeded runs keep
-        # their points
-        xs = rng.integers(0, X, size=x_samples)
-        means = _fiber_means(sys, 1, [arrs[c] for c in combo], xs)
-        draws.append(fbar_arr[xs] * np.minimum(means, CAP))
-    draws = np.concatenate(draws)
-    value = float(draws.mean())
-    err = float(draws.std(ddof=1) / math.sqrt(draws.size))
-    return value, err, {"mode": "mc", "tuple_samples": tuple_samples,
-                        "x_samples": x_samples}
+    work = convolution_cost(sys, 1, sys.ground.size, rows=m ** (k - 1))[0]
+    if work > ENUM_GUARD:
+        raise EnumerationGuardError(
+            f"exact split count needs {work} rows, over the guard of "
+            f"{ENUM_GUARD}")
+    combos = list(np.ndindex(*([m] * (k - 1))))
+    stacks = [np.array([arrs[c[slot]] for c in combos])
+              for slot in range(k - 1)]
+    # k = 1 stacks nothing: one combination, a 1-D result
+    res = capped_convolve(sys, 1, stacks)
+    total = 0.0
+    for row in np.atleast_2d(res.values):
+        total += inner_product(fbar, WeightFunction(sys.ground, values=row))
+    return total / len(combos)
 
 
 @dataclass

@@ -214,10 +214,6 @@ class SequenceSystem:
             self._fiber_cache[j] = int(self.fiber_matrix(j, 0).shape[0])
         return self._fiber_cache[j]
 
-    def fiber_count(self, j, x):
-        """|S_j(x)| for one specific x (cheap closed forms where available)."""
-        return int(self.fiber_matrix(j, x).shape[0])
-
     def fiber_block(self, j, xs):
         """The fibers S_j(x), x in xs, as (cols, counts): counts[t] =
         |S_j(xs[t])| and one index array per position i != j, in order.
@@ -241,11 +237,6 @@ class SequenceSystem:
             cols, counts = self.fiber_block(j, xs[lo:lo + step])
             yield lo, cols, counts
 
-    def sample_fiber(self, j, x, count, seed):
-        mat = self.fiber_matrix(j, x)
-        rng = np.random.default_rng(seed)
-        return mat[rng.integers(0, mat.shape[0], size=count)]
-
     def complete_pair(self, i, j, a, b):
         """The unique tuple with positions i, j equal to a, b -- or None.
 
@@ -266,7 +257,8 @@ class SequenceSystem:
         """Iterate all of S (disjoint union of the S_1(x))."""
         if self.size > guard:
             raise EnumerationGuardError(
-                f"|S| = {self.size} exceeds guard {guard}; use sampled modes")
+                f"enumerating S needs {self.size} tuples, over the guard "
+                f"of {guard}")
         for x in range(self.ground.size):
             yield from self.enumerate_fiber(1, x)
 
@@ -304,9 +296,6 @@ class _Progressions(SequenceSystem):
     def fiber_matrix(self, j, x):
         offs = np.arange(1, self.k + 1, dtype=np.int64) - j
         return (x + np.outer(self._gaps, offs)) % self.n
-
-    def fiber_count(self, j, x):
-        return len(self._gaps)
 
     def fiber_block(self, j, xs):
         if j not in self._bases:
@@ -502,9 +491,6 @@ class HomothetySystem(SequenceSystem):
         coords = (base[None, None, :] + self._dvals[:, None, None] * rel[None, :, :]) % self.n
         return self._encode(coords)
 
-    def fiber_count(self, j, x):
-        return len(self._dvals)
-
     def complete_pair(self, i, j, a, b):
         if i == j:
             raise ValueError("positions must differ")
@@ -684,9 +670,6 @@ class CopySystem(SequenceSystem):
         kk, v = self.pattern.k, self.pattern.num_vertices
         return math.factorial(kk) * math.perm(self.n - kk, v - kk)
 
-    def fiber_count(self, j, x):
-        return self.fiber_size(j)
-
     def injection_tuple(self, phi):
         """Edge-image tuple of a vertex map given as a sequence over V(K)."""
         return tuple(self.edge_rank([phi[u] for u in e]) for e in self.pattern.edges)
@@ -694,30 +677,13 @@ class CopySystem(SequenceSystem):
     def fiber_matrix(self, j, x, guard=ENUM_GUARD):
         if self.fiber_size(j) > guard:
             raise EnumerationGuardError(
-                f"copy fiber of size {self.fiber_size(j)} exceeds guard {guard}; "
-                "use sample_fiber")
+                f"copy fiber of size {self.fiber_size(j)} exceeds guard {guard}")
         root = self.pattern.edges[j - 1]
         x_set = self.ground.element(x)
         others = [u for u in range(self.pattern.num_vertices) if u not in root]
         rows = [[self.edge_rank(img) for img in imgs] for imgs in injections(
             self.pattern, self.n, order=list(root) + others,
             allowed=dict.fromkeys(root, x_set))]
-        return np.array(rows, dtype=np.int64)
-
-    def sample_fiber(self, j, x, count, seed):
-        root = self.pattern.edges[j - 1]
-        x_set = self.ground.element(x)
-        others = [u for u in range(self.pattern.num_vertices) if u not in root]
-        rest_pool = np.array([w for w in range(self.n) if w not in x_set])
-        rng = np.random.default_rng(seed)
-        rows = []
-        for _ in range(count):
-            root_img = rng.permutation(len(x_set))
-            rest_img = rng.permutation(len(rest_pool))[: len(others)]
-            phi = {u: x_set[root_img[t]] for t, u in enumerate(root)}
-            for t, u in enumerate(others):
-                phi[u] = int(rest_pool[rest_img[t]])
-            rows.append(self.injection_tuple(phi))
         return np.array(rows, dtype=np.int64)
 
     def sample_injection(self, seed):
@@ -886,10 +852,12 @@ def verify_two_dof(sys: SequenceSystem, mode="exhaustive", samples=2000, seed=0,
         else:
             x = int(rng.integers(0, X))
             row_seed = int(rng.integers(0, 2 ** 62))
-            if sys.fiber_count(1, x) == 0:
+            mat = sys.fiber_matrix(1, x)
+            if mat.shape[0] == 0:
                 skipped += 1    # empty S_1(x), as non-homogeneous systems have
                 continue
-            row = sys.sample_fiber(1, x, 1, row_seed)[0]
+            rng_row = np.random.default_rng(row_seed)
+            row = mat[rng_row.integers(0, mat.shape[0], size=1)[0]]
             s = tuple(int(v) for v in row)
             t = sys.complete_pair(int(i), int(j), s[i - 1], s[j - 1])
             if t != s:

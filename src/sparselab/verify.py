@@ -293,8 +293,8 @@ def check_conditions(sys: SequenceSystem, p, trials=1, alpha=0.1, seed=0,
             last = sys.fiber_matrix(1, x)[:, k - 1]
             if last.size == 0:
                 continue
-            # the row sample_fiber(1, x, 1, row_seed) draws, without a
-            # second fiber build
+            # one fiber row drawn from row_seed, as verify_two_dof draws
+            # its probes
             rng_row = np.random.default_rng(row_seed)
             y = int(last[rng_row.integers(0, last.size, size=1)[0]])
             t_x = int(np.count_nonzero(np.bincount(last)))

@@ -70,15 +70,23 @@ def test_enumeration_guard_gives_exit_two(capsys):
     payload = json.loads(err.strip().splitlines()[-1])
     assert payload["code"] == 2
     assert "exact split count needs" in payload["error"]
+    # the message states the work and the guard, and points at no mode
+    assert "guard" in payload["error"] and "mode=" not in payload["error"]
+
+
+FROZEN_DENSE_MODEL_CLI = json.loads(
+    (Path(__file__).parent / "frozen_dense_model_cli.json").read_text())
 
 
 def test_fft_priced_guards_admit_the_3ap_loop(capsys):
     # on 3-term progressions over odd n the guards price the FFT: the exact
-    # split count at n = 1009 and property 3 on Z_10007 both run
-    code, out, _ = run_cli(capsys, "dense-model", "--system", "ap",
-                           "--n", "1009", "--k", "3", "--p", "0.12",
-                           "--family-size", "64")
-    assert code == 0
+    # split count at n = 1009 and property 3 on Z_10007 both run; the
+    # dense-model stdout, counting block included, is frozen byte for byte
+    case = FROZEN_DENSE_MODEL_CLI[1]
+    assert case["argv"] == ["dense-model", "--system", "ap", "--n", "1009",
+                            "--k", "3", "--p", "0.12", "--family-size", "64"]
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert (code, out) == (case["code"], case["stdout"])
     report = json.loads(out)
     assert report["ok"] and report["counting"]["mode"] == "exact"
     code, out, _ = run_cli(capsys, "properties", "--system", "ap", "--n",
@@ -181,6 +189,13 @@ def test_dense_model_command(capsys):
     report = json.loads(out)
     assert report["lp_status"] == "optimal"
     assert float(report["achieved_norm"]) <= 0.5
+
+
+def test_dense_model_stdout_frozen(capsys):
+    # the whole report, counting block included, byte for byte
+    case = FROZEN_DENSE_MODEL_CLI[0]
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert (code, out) == (case["code"], case["stdout"])
 
 
 # --- sweep ----------------------------------------------------------------

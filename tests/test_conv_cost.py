@@ -108,7 +108,7 @@ def test_exact_count_guard_reads_the_gathered_support_rows(sys):
         with mock.patch.object(conv, "ENUM_GUARD", work - 1):
             assert count_functional(sys, f) == pytest.approx(want, rel=1e-12)
     with mock.patch.object(conv, "ENUM_GUARD", min(work, fft_work) - 1):
-        with pytest.raises(EnumerationGuardError, match="use mode='mc'"):
+        with pytest.raises(EnumerationGuardError, match="both exceed the guard"):
             count_functional(sys, f)
 
 

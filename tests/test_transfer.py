@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sparselab.conv import count_functional
 from sparselab.core import WeightFunction, expectation, inner_product, lp_norm
 from sparselab.sample import sample_ensemble
 from sparselab.systems import build_system
@@ -174,3 +175,19 @@ def test_counting_lemma_dense_model_instance(ap101, ens101):
     assert report["split_value"] >= 0.0
     assert report["count_value"] >= 0.0
     assert "gap" in report and "threshold" in report
+
+
+def test_counting_lemma_benchmark_call(ap101, ens101):
+    # the call the transfer benchmark workload makes, seed included
+    fam = build_family(ap101, ens101, 64, seed=5)
+    res = solve_dense_model(ens101.averaged_measure(), fam)
+    eta = ap101.k * res.achieved_norm
+    lemma = verify_counting_lemma(ap101, ens101.measures(), res.g, eta=eta,
+                                  seed=5)
+    assert {"split_value", "count_value", "gap", "ok"} <= lemma.keys()
+    assert lemma["gap"] == abs(lemma["split_value"] - lemma["count_value"])
+    assert lemma["threshold"] == 4 * eta
+    assert lemma["ok"] == (lemma["gap"] <= 4 * eta)
+    # counting is exact only: there is no sampled mode
+    with pytest.raises(ValueError, match="unknown mode"):
+        count_functional(ap101, res.g, mode="mc")
