@@ -37,10 +37,14 @@ Counting is exact and has two evaluation modes:
 
   exact    -- the gather engine: sum_x f(x) times the fiber sum of
               conv_1(f,..,f) at x, over the support of f (|supp f| |S_1| rows);
-  support  -- enumerate only tuples through the support of f: ordered support
-              pairs completed in bulk where the system can (ap), the gather
-              engine for the other two-degrees-of-freedom systems, and
-              for copy systems the injections (systems.injections) of the
+  support  -- enumerate only tuples through the support of f.  On ap the
+              ordered support pairs (a, b) are completed in blocks of about
+              CHUNK_ELEMENTS pairs (systems): the completion at positions
+              1, 2 has h b - (h-1) a mod n in column h, and each a's row is
+              summed and added in a-order, so the count is bit-identical to
+              one completion call per support point.  The other
+              two-degrees-of-freedom systems use the gather engine, and
+              copy systems the injections (systems.injections) of the
               covered pattern vertices into the support's vertices.
 
 auto takes support mode, else exact mode, where its guard admits it.  Past
@@ -59,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import WeightFunction, inner_product
-from .systems import (ENUM_GUARD, APSystem, CopySystem,
+from .systems import (CHUNK_ELEMENTS, ENUM_GUARD, APSystem, CopySystem,
                       EnumerationGuardError, SequenceSystem, injections)
 
 CAP = 2.0
@@ -320,15 +324,29 @@ def _support_count(sys, f, supp):
         raise EnumerationGuardError(
             f"support enumeration needs {supp.size ** 2 * sys.k} completions")
     arr = f.dense()
-    if not hasattr(sys, "complete_pairs_bulk"):
+    if not isinstance(sys, APSystem):
         return _gather_count(sys, arr, supp)
+    # a block of support points a against every support point b, b ascending;
+    # the completion of (a, b) at positions 1, 2 has h b - (h-1) a mod n in
+    # column h, and the diagonal b = a goes unless allow_d0
+    vals = arr[supp]
+    step = max(1, CHUNK_ELEMENTS // supp.size)
     total = 0.0
-    for a in supp:
-        mats, _ = sys.complete_pairs_bulk(1, 2, int(a), supp)
-        prod = arr[mats[:, 0]]
-        for i in range(1, sys.k):
-            prod *= arr[mats[:, i]]
-        total += float(prod.sum())
+    for lo in range(0, supp.size, step):
+        a = supp[lo:lo + step, None]
+        prod = vals[lo:lo + step, None] * vals
+        for h in range(2, sys.k):
+            prod *= np.take(arr, h * supp - (h - 1) * a, mode="wrap")
+        if not sys.allow_d0:
+            rows = np.arange(a.shape[0])
+            keep = np.ones(prod.shape, dtype=bool)
+            keep[rows, lo + rows] = False
+            prod = prod[keep].reshape(rows.size, -1)
+        # each a's row is summed on its own and the sums are added in
+        # a-order (no compensated sum()), so the rounding is the same at
+        # any block size
+        for s in prod.sum(axis=1).tolist():
+            total += s
     return total / sys.size
 
 
