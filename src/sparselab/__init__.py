@@ -9,8 +9,8 @@ dense-model LP and counting-lemma check (transfer), exhaustive oracles
 
 from .conv import (capped_convolve, convolve, count_functional,
                    split_capped_count)
-from .core import (GroundSet, WeightFunction, expectation, inner_product,
-                   lp_norm, make_measure)
+from .core import (GroundSet, WeightFunction, inner_product, lp_norm,
+                   make_measure)
 from .oracles import (HostGraph, adversary_colouring, adversary_free_subset,
                       critical_exponent, extremal_number, pattern_stats,
                       ramsey_multiplicity, supersaturation_count,

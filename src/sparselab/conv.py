@@ -37,15 +37,18 @@ Counting is exact and has two evaluation modes:
 
   exact    -- the gather engine: sum_x f(x) times the fiber sum of
               conv_1(f,..,f) at x, over the support of f (|supp f| |S_1| rows);
-  support  -- enumerate only tuples through the support of f.  On ap the
-              ordered support pairs (a, b) are completed in blocks of about
-              CHUNK_ELEMENTS pairs (systems): the completion at positions
-              1, 2 has h b - (h-1) a mod n in column h, and each a's row is
-              summed and added in a-order, so the count is bit-identical to
-              one completion call per support point.  The other
-              two-degrees-of-freedom systems use the gather engine, and
-              copy systems the injections (systems.injections) of the
-              covered pattern vertices into the support's vertices.
+  support  -- enumerate only tuples through the support of f.  On the
+              two-degrees-of-freedom systems the ordered support pairs (a, b)
+              are completed by the kind's complete_pairs, in blocks of about
+              CHUNK_ELEMENTS pairs (SequenceSystem.pair_blocks), wherever
+              that costs no more than the gather engine (by_pairs: |U|(|U|-1)
+              pairs against |U||S_1| fiber rows; ap always takes pairs), and
+              by the gather engine elsewhere.  The columns stay unreduced and
+              are read through np.take(mode="wrap").  On ap each a's row is
+              summed on its own and added in a-order, so the count is
+              bit-identical to one completion call per support point.  Copy
+              systems use the injections (systems.injections) of the covered
+              pattern vertices into the support's vertices.
 
 auto takes support mode, else exact mode, where its guard admits it.  Past
 both, on 3-term ap over odd n, it counts E_x f(x) conv_1(f,f)(x) with conv_1
@@ -63,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import WeightFunction, inner_product
-from .systems import (CHUNK_ELEMENTS, ENUM_GUARD, APSystem, CopySystem,
+from .systems import (ENUM_GUARD, APSystem, CopySystem,
                       EnumerationGuardError, SequenceSystem, injections)
 
 CAP = 2.0
@@ -324,28 +327,23 @@ def _support_count(sys, f, supp):
         raise EnumerationGuardError(
             f"support enumeration needs {supp.size ** 2 * sys.k} completions")
     arr = f.dense()
-    if not isinstance(sys, APSystem):
+    if not sys.by_pairs(supp.size):
         return _gather_count(sys, arr, supp)
-    # a block of support points a against every support point b, b ascending;
-    # the completion of (a, b) at positions 1, 2 has h b - (h-1) a mod n in
-    # column h, and the diagonal b = a goes unless allow_d0
+    # positions 1 and 2 of a pair's completion hold a and b themselves;
+    # einsum forms their outer product faster than a broadcast multiply
     vals = arr[supp]
-    step = max(1, CHUNK_ELEMENTS // supp.size)
     total = 0.0
-    for lo in range(0, supp.size, step):
-        a = supp[lo:lo + step, None]
-        prod = vals[lo:lo + step, None] * vals
-        for h in range(2, sys.k):
-            prod *= np.take(arr, h * supp - (h - 1) * a, mode="wrap")
-        if not sys.allow_d0:
-            rows = np.arange(a.shape[0])
-            keep = np.ones(prod.shape, dtype=bool)
-            keep[rows, lo + rows] = False
-            prod = prod[keep].reshape(rows.size, -1)
-        # each a's row is summed on its own and the sums are added in
-        # a-order (no compensated sum()), so the rounding is the same at
-        # any block size
-        for s in prod.sum(axis=1).tolist():
+    for lo, cols, valid in sys.pair_blocks(supp):
+        prod = np.einsum("i,j->ij", vals[lo:lo + valid.shape[0]], vals)
+        for c in cols[2:]:
+            prod *= np.take(arr, c, mode="wrap")
+        # the valid products are summed in runs of equal length, a's row
+        # when they divide evenly, and the run sums are added in order (no
+        # compensated sum()).  On ap every a keeps |U| - 1 pairs (|U| with
+        # allow_d0), so the rounding is that of one completion call per a
+        prod = prod[valid]
+        rows = valid.shape[0] if prod.size % valid.shape[0] == 0 else 1
+        for s in prod.reshape(rows, -1).sum(axis=1).tolist():
             total += s
     return total / sys.size
 

@@ -170,11 +170,6 @@ class WeightFunction:
         return f"WeightFunction({self.domain.kind}, |X|={self.domain.size})"
 
 
-def expectation(f: WeightFunction) -> float:
-    """E_x f(x) = |X|^{-1} sum_x f(x)."""
-    return float(np.sum(f._dense)) / f.domain.size
-
-
 def inner_product(f: WeightFunction, g: WeightFunction) -> float:
     """<f, g> = E_x f(x) g(x)."""
     if f.domain != g.domain:

@@ -352,52 +352,55 @@ def extremal_number(n, K: PatternHypergraph, budget=10 ** 7):
 # --- adversarial witnesses ------------------------------------------------
 
 def tuples_within(sys: SequenceSystem, U, guard=10 ** 7):
-    """All tuples of S with every coordinate in U and s_1 != s_2 (exact,
-    support-restricted), a-major over a = s_1 in sorted U.
+    """Every tuple of S with all entries in U and s_1 != s_2, as one (T, k)
+    int64 array of element indices, a-major over a = s_1 in sorted U.
 
-    ap completes each a in U against U minus a in bulk (b = s_2 ascending);
-    the other sequence kinds keep the rows of the fiber S_1(a) that lie in U;
-    copy systems keep the injections whose edge images all lie in U
-    (systems.injections with U as the host), in lexicographic order of
-    the vertex map.
-    The guard bounds what each branch does: |U|^2 completions in bulk, the
-    fiber rows scanned (|U|.|S_1|) for the other sequence kinds, the tuples
-    found for copies.
+    Sequence systems complete the ordered pairs (a, b) of U at positions
+    1, 2 (sys.pair_blocks, b ascending) or scan the fibers S_1(a)
+    (sys.fiber_blocks, fiber order), whichever sys.by_pairs prices cheaper.
+    Copy systems keep the injections whose edge images all lie in U (U as
+    the host of systems.injections), lexicographic in the vertex map.  The
+    guard bounds the work up front, |U|^2 completions or |U| |S_1| fiber
+    rows, and for copies the tuples found.
     """
-    U = sorted(int(u) for u in U)
+    U = np.sort(np.asarray(U, dtype=np.int64).reshape(-1))
     if isinstance(sys, CopySystem):
-        host = frozenset(sys.ground.element(u) for u in U)
+        host = frozenset(sys.ground.element(int(u)) for u in U)
         found = itertools.islice(injections(sys.pattern, sys.n, host=host),
                                  guard + 1)
         out = [tuple(sys.edge_rank(img) for img in imgs) for imgs in found]
         if len(out) > guard:
             raise ValueError(
                 f"support enumeration finds at least {guard + 1} copies "
-                f"inside U (|U| = {len(U)}), over the guard {guard}")
-        return out
-    bulk = hasattr(sys, "complete_pairs_bulk")
-    if bulk and len(U) ** 2 > guard:
-        raise ValueError(
-            f"support enumeration needs {len(U) ** 2} completions "
-            f"(|U|^2), over the guard {guard}")
-    inside = np.zeros(sys.ground.size, dtype=bool)
+                f"inside U (|U| = {U.size}), over the guard {guard}")
+        return np.array(out, dtype=np.int64).reshape(-1, sys.k)
+    if sys.by_pairs(U.size):
+        if U.size ** 2 > guard:
+            raise ValueError(
+                f"support enumeration needs {U.size ** 2} completions "
+                f"(|U|^2), over the guard {guard}")
+        blocks = ((cols, valid) for _, cols, valid in sys.pair_blocks(U))
+    else:
+        work = U.size * sys.fiber_size(1)
+        if work > guard:
+            raise ValueError(
+                f"support enumeration scans {work} fiber rows (|U||S_1|, "
+                f"|U| = {U.size}), over the guard {guard}")
+        # position 1 of every row of the fiber S_1(a) is a itself
+        blocks = (([np.repeat(U[lo:lo + cnt.size], cnt).reshape(
+            cols[0].shape)] + cols, True)
+            for lo, cols, cnt in sys.fiber_blocks(1, U))
+    X = sys.ground.size
+    inside = np.zeros(X, dtype=bool)
     inside[U] = True
-    members = np.array(U, dtype=np.int64)
-    out = []
-    rows_seen = 0
-    for a in U:
-        if bulk:
-            rows, _ = sys.complete_pairs_bulk(1, 2, a, members[members != a])
-        else:
-            rows = sys.fiber_matrix(1, a)
-            rows_seen += rows.shape[0]
-            if rows_seen > guard:
-                raise ValueError(
-                    f"support enumeration scans at least {rows_seen} fiber "
-                    f"rows (|U||S_1|, |U| = {len(U)}), over the guard {guard}")
-        keep = inside[rows].all(axis=1) & (rows[:, 0] != rows[:, 1])
-        out.extend(map(tuple, rows[keep].tolist()))
-    return out
+    out = [np.empty((0, sys.k), dtype=np.int64)]
+    for cols, keep in blocks:
+        for c in cols:
+            keep = keep & np.take(inside, c, mode="wrap")
+        rows = np.stack([np.broadcast_to(c, keep.shape)[keep] for c in cols],
+                        axis=1) % X
+        out.append(rows[rows[:, 0] != rows[:, 1]])
+    return np.concatenate(out)
 
 
 @dataclass
@@ -434,8 +437,7 @@ def adversary_free_subset(sys: SequenceSystem, U,
     pos[U] = np.arange(n_u)
     # members[t]: the distinct positions in U of tuple t, repeats replaced
     # by the spare slot n_u, which is never live and never outside
-    members = np.sort(pos[np.array(tuples_, dtype=np.int64)
-                          .reshape(len(tuples_), sys.k)], axis=1)
+    members = np.sort(pos[tuples_], axis=1)
     members[:, 1:][members[:, 1:] == members[:, :-1]] = n_u
     tids = np.repeat(np.arange(len(tuples_)), members.shape[1])
     flat = members.ravel()
@@ -461,7 +463,7 @@ def adversary_free_subset(sys: SequenceSystem, U,
             outside[i] = False
     A = [u for u, out in zip(U, outside) if not out]
     removed = [u for u, out in zip(U, outside) if out]
-    if tuples_within(sys, A, guard=budget):
+    if tuples_within(sys, A, guard=budget).size:
         raise AssertionError("adversary produced an uncertified subset")
     return AdversaryReport(A, len(A) / len(U), removed, len(tuples_), True)
 
@@ -475,8 +477,9 @@ def adversary_colouring(sys: SequenceSystem, U, r, budget=5000, seed=0):
     U = sorted(int(u) for u in U)
     if not U:
         return {}, 0
-    pos = {u: i for i, u in enumerate(U)}
-    tidx = [tuple(pos[v] for v in s) for s in tuples_within(sys, U)]
+    pos = np.zeros(sys.ground.size, dtype=np.int64)
+    pos[U] = np.arange(len(U))
+    tidx = pos[tuples_within(sys, U)].tolist()
     if r >= len(U):
         col = list(range(len(U)))
         cnt = _mono_count(tidx, col)

@@ -237,19 +237,36 @@ class SequenceSystem:
             cols, counts = self.fiber_block(j, xs[lo:lo + step])
             yield lo, cols, counts
 
-    def complete_pair(self, i, j, a, b):
-        """The unique tuple with positions i, j equal to a, b -- or None.
-
-        Only meaningful for systems claiming two degrees of freedom."""
+    def complete_pairs(self, i, j, a, b):
+        """(cols, valid) for broadcastable int arrays a, b of element indices:
+        cols holds the k index arrays of the tuples with positions i, j equal
+        to a, b, each entry congruent mod |X| to the element index (left
+        unreduced where that is cheaper: read them with np.take(mode="wrap")),
+        and valid marks the pairs that complete to a tuple of S.  Only systems
+        claiming two degrees of freedom complete pairs."""
         raise ValueError(f"{self.kind} system does not support pair completion")
+
+    def by_pairs(self, m):
+        """Whether m support points cost no more to scan by completing their
+        m(m-1) ordered pairs than by gathering their m |S_1| fiber rows."""
+        return self.claims_two_dof and m - 1 <= self.fiber_size(1)
+
+    def pair_blocks(self, U):
+        """Yield (lo, cols, valid): complete_pairs(1, 2, a, b) for a block of
+        points a = U[lo:lo + step] (a column) against all of U (a row), step
+        about CHUNK_ELEMENTS // |U|: a-major, b in U's order, b = a too."""
+        U = np.asarray(U, dtype=np.int64)
+        step = max(1, CHUNK_ELEMENTS // max(U.size, 1))
+        for lo in range(0, U.size, step):
+            cols, valid = self.complete_pairs(1, 2, U[lo:lo + step, None], U)
+            yield lo, cols, valid
 
     def pair_intersection(self, x, y):
         """Tuples in S_1(x) n S_k(y), as a (m, k) array."""
         if self.claims_two_dof:
-            s = self.complete_pair(1, self.k, x, y)
-            if s is None:
-                return np.empty((0, self.k), dtype=np.int64)
-            return np.array([s], dtype=np.int64)
+            cols, valid = self.complete_pairs(1, self.k, np.array([x]),
+                                              np.array([y]))
+            return np.stack(cols, axis=1)[valid] % self.ground.size
         mat = self.fiber_matrix(1, x)
         return mat[mat[:, self.k - 1] == y]
 
@@ -306,6 +323,32 @@ class _Progressions(SequenceSystem):
         return ([xs + b for b in self._bases[j]],
                 np.full(xs.shape[0], len(self._gaps), dtype=np.int64))
 
+    def complete_pairs(self, i, j, a, b):
+        """Column h is a + (h-i) g, g = (b-a)/(j-i) mod n the gap, written
+        c b - (c-1) a with c = (h-i)/(j-i) in (-n/2, n/2] and left unreduced
+        (within k n of 0 on positions 1, 2).  No pair is valid when j - i is
+        not invertible mod n."""
+        if i == j:
+            raise ValueError("positions must differ")
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        n = self.n
+        try:
+            inv = pow(j - i, -1, n)
+        except ValueError:
+            return [a] * self.k, np.zeros(np.broadcast(a, b).shape, dtype=bool)
+        cols = []
+        for h in range(1, self.k + 1):
+            c = (h - i) * inv % n
+            c -= n if 2 * c > n else 0
+            cols.append(a if h == i else b if h == j else c * b - (c - 1) * a)
+        return cols, self._gap_ok(a, b, inv)
+
+    def _gap_ok(self, a, b, inv):
+        # the gap (b-a) inv against a membership mask, each term reduced first
+        mask = np.zeros(self.n, dtype=bool)
+        mask[self._gaps] = True
+        return np.take(mask, inv * b % self.n - inv * a % self.n, mode="wrap")
+
 
 class APSystem(_Progressions):
     """(x, x+d, ..., x+(k-1)d) mod n; d != 0 unless allow_d0."""
@@ -322,33 +365,13 @@ class APSystem(_Progressions):
                                          dtype=np.int64))
         self.allow_d0 = allow_d0
 
-    def complete_pair(self, i, j, a, b):
-        if i == j:
-            raise ValueError("positions must differ")
-        try:
-            inv = pow(int(j - i), -1, self.n)
-        except ValueError:
-            return None
-        d = ((b - a) * inv) % self.n
-        if d == 0 and not self.allow_d0:
-            return None
-        return tuple((a + (h - i) * d) % self.n for h in range(1, self.k + 1))
-
-    def complete_pairs_bulk(self, i, j, a, bs):
-        """Vectorized completion for one a against many b's.
-
-        Returns (tuples, valid_b): an (m, k) matrix of completed tuples and
-        the b values they belong to."""
-        if i == j:
-            raise ValueError("positions must differ")
-        inv = pow(int(j - i), -1, self.n)
-        bs = np.asarray(bs, dtype=np.int64)
-        d = ((bs - a) * inv) % self.n
-        if not self.allow_d0:
-            keep = d != 0
-            bs, d = bs[keep], d[keep]
-        offs = np.arange(1, self.k + 1, dtype=np.int64) - i
-        return (a + np.outer(d, offs)) % self.n, bs
+    def _gap_ok(self, a, b, inv):
+        # every gap but 0 (b = a), or every gap with allow_d0; a broadcast
+        # compare costs about its width, so use the narrowest index type
+        if self.allow_d0:
+            return np.ones(np.broadcast(a, b).shape, dtype=bool)
+        t = np.min_scalar_type(self.n - 1)
+        return a.astype(t) != b.astype(t)
 
     @functools.cached_property
     def halve_negate(self):
@@ -390,17 +413,15 @@ class IntervalAPSystem(SequenceSystem):
         d = d[(x - (j - 1) * d >= 0) & (x + (self.k - j) * d < self.n)]
         return x + np.outer(d, np.arange(1, self.k + 1, dtype=np.int64) - j)
 
-    def complete_pair(self, i, j, a, b):
+    def complete_pairs(self, i, j, a, b):
         if i == j:
             raise ValueError("positions must differ")
-        step, rem = divmod(b - a, j - i)
-        if rem or step < 1:
-            return None
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        step, rem = np.divmod(b - a, j - i)
         first = a - (i - 1) * step
         last = first + (self.k - 1) * step
-        if first < 0 or last >= self.n:
-            return None
-        return tuple(first + (h - 1) * step for h in range(1, self.k + 1))
+        valid = (rem == 0) & (step >= 1) & (first >= 0) & (last < self.n)
+        return [first + h * step for h in range(self.k)], valid
 
     def descriptor(self):
         return {"kind": "interval-ap", "n": self.n, "k": self.k}
@@ -427,19 +448,6 @@ class PolyAPSystem(_Progressions):
         super().__init__(n, k, np.arange(1, dmax + 1, dtype=np.int64) ** r % n)
         self.r = r
         self.gamma = Fraction(1, r)
-        self._gap_set = set(self._gaps.tolist())
-
-    def complete_pair(self, i, j, a, b):
-        if i == j:
-            raise ValueError("positions must differ")
-        try:
-            inv = pow(int(j - i), -1, self.n)
-        except ValueError:
-            return None
-        gap = ((b - a) * inv) % self.n
-        if gap not in self._gap_set:
-            return None
-        return tuple((a + (h - i) * gap) % self.n for h in range(1, self.k + 1))
 
     def descriptor(self):
         return {"kind": "polyap", "n": self.n, "k": self.k, "r": self.r}
@@ -491,29 +499,28 @@ class HomothetySystem(SequenceSystem):
         coords = (base[None, None, :] + self._dvals[:, None, None] * rel[None, :, :]) % self.n
         return self._encode(coords)
 
-    def complete_pair(self, i, j, a, b):
+    def complete_pairs(self, i, j, a, b):
+        """The dilation d is read off one coordinate t where P_i and P_j
+        differ, d = (b - a)_t / (P_j - P_i)_t mod n, then checked on every
+        coordinate and against the admissible dilations."""
         if i == j:
             raise ValueError("positions must differ")
-        xa = np.array(self.ground.element(a), dtype=np.int64)
-        xb = np.array(self.ground.element(b), dtype=np.int64)
-        rel = (self._P[j - 1] - self._P[i - 1]) % self.n
-        diff = (xb - xa) % self.n
-        d = None
-        for t in range(self.r):
-            if rel[t] % self.n != 0:
-                try:
-                    d = (int(diff[t]) * pow(int(rel[t]), -1, self.n)) % self.n
-                except ValueError:
-                    return None
-                break
-        if d is None or d == 0:
-            return None
-        if np.any((d * rel) % self.n != diff):
-            return None
-        if d not in self._dvals:
-            return None
-        coords = (xa[None, :] + d * (self._P - self._P[i - 1])) % self.n
-        return tuple(int(v) for v in self._encode(coords))
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        n = self.n
+        xa = a[..., None] // self._radix % n                  # (..., r)
+        diff = (b[..., None] // self._radix - xa) % n
+        rel = (self._P[j - 1] - self._P[i - 1]) % n
+        t = int(np.flatnonzero(rel)[0])
+        try:
+            inv = pow(int(rel[t]), -1, n)
+        except ValueError:
+            return [a] * self.k, np.zeros(np.broadcast(a, b).shape, dtype=bool)
+        d = diff[..., t] * inv % n
+        admissible = np.zeros(n, dtype=bool)
+        admissible[self._dvals] = True
+        valid = admissible[d] & np.all(d[..., None] * rel % n == diff, axis=-1)
+        offs = self._P - self._P[i - 1]
+        return [self._encode((xa + d[..., None] * o) % n) for o in offs], valid
 
     def descriptor(self):
         return {"kind": "homothety", "n": self.n, "r": self.r,
@@ -545,7 +552,10 @@ class SchurSystem(SequenceSystem):
 
     @functools.cached_property
     def size(self):
-        return sum(self.fiber_matrix(1, x).shape[0] for x in range(self.ground.size))
+        # (n-1)^2 pairs of non-zero residues, less x = y and x + y = 0 (n-1
+        # each), plus x = y = n/2, which both remove when n is even
+        n = self.n
+        return (n - 2) ** 2 if n % 2 == 0 else (n - 1) * (n - 3)
 
     def _residue_rows(self, j, res):
         n = self.n
@@ -565,26 +575,16 @@ class SchurSystem(SequenceSystem):
     def fiber_matrix(self, j, x):
         return self._residue_rows(j, x + 1) - 1  # residues -> indices
 
-    def complete_pair(self, i, j, a, b):
+    def complete_pairs(self, i, j, a, b):
         if i == j:
             raise ValueError("positions must differ")
-        ra, rb = a + 1, b + 1
-        vals = {i: ra, j: rb}
-        n = self.n
-        if 1 in vals and 2 in vals:
-            third = (vals[1] + vals[2]) % n
-        elif 1 in vals:
-            third = (vals[3] - vals[1]) % n
-        else:
-            third = (vals[3] - vals[2]) % n
-        missing = ({1, 2, 3} - set(vals)).pop()
-        vals[missing] = third
-        triple = (vals[1], vals[2], vals[3])
-        if 0 in triple or len(set(triple)) != 3:
-            return None
-        if (triple[0] + triple[1]) % n != triple[2]:
-            return None
-        return tuple(v - 1 for v in triple)
+        r = {i: np.asarray(a, dtype=np.int64) + 1,
+             j: np.asarray(b, dtype=np.int64) + 1}      # residues
+        m = 6 - i - j                                      # the third position
+        r[m] = (r[1] + r[2] if m == 3 else r[3] - r[3 - m]) % self.n
+        x, y, z = r[1], r[2], r[3]
+        valid = (r[m] != 0) & (x != y) & (x != z) & (y != z)
+        return [x - 1, y - 1, z - 1], valid
 
     def descriptor(self):
         return {"kind": "schur", "n": self.n}
@@ -859,7 +859,10 @@ def verify_two_dof(sys: SequenceSystem, mode="exhaustive", samples=2000, seed=0,
             rng_row = np.random.default_rng(row_seed)
             row = mat[rng_row.integers(0, mat.shape[0], size=1)[0]]
             s = tuple(int(v) for v in row)
-            t = sys.complete_pair(int(i), int(j), s[i - 1], s[j - 1])
+            cols, valid = sys.complete_pairs(int(i), int(j),
+                                             np.array([s[i - 1]]),
+                                             np.array([s[j - 1]]))
+            t = tuple(int(c[0]) % X for c in cols) if valid[0] else None
             if t != s:
                 failures += 1
                 if witness is None:

@@ -148,12 +148,14 @@ def brute_mk(edges, v, k):
 #
 # These are the scalar loops the array-based oracles replaced, kept as
 # references: the seeded results of the oracles must equal theirs.  They
-# take a system object or an rng (anything with complete_pair / integers)
-# from the caller, so this file still imports nothing from sparselab.
+# take the system's parameters or an rng (anything with integers) from the
+# caller, so this file still imports nothing from sparselab.
 
 def ref_tuples_within_pairs(sys, U):
-    """Complete every ordered pair a != b of U at positions 1, 2 and keep
-    the tuples inside U, a-major with b ascending."""
+    """Complete every ordered pair a != b of U at positions 1, 2 of the ap
+    system (sys.n, sys.k) and keep the tuples inside U, a-major with b
+    ascending.  Its gap b - a is non-zero, so allow_d0 plays no part."""
+    n, k = sys.n, sys.k
     U = sorted(int(u) for u in U)
     U_set = set(U)
     out = []
@@ -161,9 +163,9 @@ def ref_tuples_within_pairs(sys, U):
         for b in U:
             if a == b:
                 continue
-            s = sys.complete_pair(1, 2, a, b)
-            if s is not None and all(v in U_set for v in s):
-                out.append(tuple(int(v) for v in s))
+            s = tuple((a + h * (b - a)) % n for h in range(k))
+            if all(v in U_set for v in s):
+                out.append(s)
     return out
 
 

@@ -1,9 +1,10 @@
 """The blocked support count on ap against the per-point loop it replaced.
 
 conv._support_count counts tuples through the support of f on ap in blocks of
-support pairs.  The reference below is the loop it replaced, one
-complete_pairs_bulk call per support point a; the two must agree bit for bit
-(==), and both with tests/bruteforce.py at small n.
+support pairs.  The reference below is the loop it replaced, one vectorised
+completion of a against the whole support per support point a, written here
+from the ap arithmetic alone; the two must agree bit for bit (==), and both
+with tests/bruteforce.py at small n.
 """
 
 import json
@@ -21,14 +22,19 @@ from bruteforce import brute_aps, brute_count
 
 
 def ref_support_count(sys, f):
-    """One complete_pairs_bulk(1, 2, a, supp) call per support point a."""
+    """Per support point a: the progressions (a, b, ..., a + (k-1)(b-a))
+    mod n for every b in the support (b = a only with allow_d0), their
+    products summed as one array."""
     arr = f.dense()
     supp = f.support_indices()
     if supp.size == 0:
         return 0.0
     total = 0.0
     for a in supp:
-        mats, _ = sys.complete_pairs_bulk(1, 2, int(a), supp)
+        d = (supp - a) % sys.n
+        if not sys.allow_d0:
+            d = d[d != 0]
+        mats = (a + np.outer(d, np.arange(sys.k))) % sys.n
         prod = arr[mats[:, 0]]
         for i in range(1, sys.k):
             prod *= arr[mats[:, i]]

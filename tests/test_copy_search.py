@@ -132,7 +132,7 @@ def test_tuples_within_frozen(name):
     (n, m), expected = WITHIN[name]
     K = PATTERNS[name]
     sys = CopySystem(n, K)
-    got = tuples_within(sys, range(m))
+    got = list(map(tuple, tuples_within(sys, range(m)).tolist()))
     assert got == expected
     assert sorted(got) == sorted(s for s in _brute_tuples(sys)
                                  if all(v < m for v in s))

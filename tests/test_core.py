@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparselab.core import (GroundSet, WeightFunction, expectation,
-                            inner_product, lp_norm, make_measure)
+from sparselab.core import (GroundSet, WeightFunction, inner_product,
+                            lp_norm, make_measure)
 
 
 def test_cyclic_bijection():
@@ -59,7 +59,6 @@ def test_characteristic_measure_z10():
     assert f.dense()[0] == pytest.approx(10 / 3)
     assert f.dense()[5] == 0.0
     assert lp_norm(f, 1) == pytest.approx(1.0, abs=1e-12)
-    assert expectation(f) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_associated_measure_norm():

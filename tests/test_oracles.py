@@ -25,7 +25,8 @@ from sparselab.oracles import (
 )
 from sparselab.sample import derive_seed, sample_subset
 from sparselab.systems import (APSystem, CopySystem, PatternHypergraph,
-                               SchurSystem, SequenceSystem, build_system)
+                               PolyAPSystem, SchurSystem, SequenceSystem,
+                               build_system)
 
 from bruteforce import (brute_aps, ref_free_subset, ref_min_mono_exhaustive,
                         ref_min_mono_local_search, ref_tuples_within_pairs)
@@ -232,7 +233,7 @@ def test_tuples_within_matches_bruteforce():
     sys = build_system(kind="ap", n=13, k=3)
     rng = np.random.default_rng(4)
     U = sorted(rng.choice(13, size=8, replace=False))
-    got = set(tuples_within(sys, U))
+    got = set(map(tuple, tuples_within(sys, U).tolist()))
     expected = {s for s in brute_aps(13, 3) if set(s).issubset(U)}
     assert got == expected
 
@@ -243,7 +244,7 @@ def test_tuples_within_copy_system():
     assert len(tuples_within(sys, all_edges)) == 60
     # C_5 edge subset holds no triangle
     cyc = [sys.ground.index(tuple(sorted((i, (i + 1) % 5)))) for i in range(5)]
-    assert tuples_within(sys, cyc) == []
+    assert tuples_within(sys, cyc).tolist() == []
 
 
 def test_adversary_free_subset_z5():
@@ -309,7 +310,7 @@ def test_tuples_within_every_kind_matches_bruteforce(name):
     rng = np.random.default_rng(11)
     for size in (0, 2, X // 3, X // 2, X):
         U = sorted(int(u) for u in rng.choice(X, size=size, replace=False))
-        got = tuples_within(sys, U)
+        got = list(map(tuple, tuples_within(sys, U).tolist()))
         assert len(got) == len(set(got))
         assert set(got) == {s for s in every if set(s) <= set(U)}
 
@@ -320,7 +321,8 @@ def test_tuples_within_ap_equals_scalar_loop(n, allow_d0):
     sys = APSystem(n, 3, allow_d0=allow_d0)
     for seed, p in [(0, 0.1), (1, 0.3), (2, 0.6)]:
         U = sample_subset(sys.ground, p, seed)
-        assert tuples_within(sys, U) == ref_tuples_within_pairs(sys, U)
+        assert list(map(tuple, tuples_within(sys, U).tolist())) == \
+            ref_tuples_within_pairs(sys, U)
 
 
 def test_tuples_within_guard_states_its_cost():
@@ -332,15 +334,15 @@ def test_tuples_within_guard_states_its_cost():
 
 
 def test_tuples_within_guard_counts_scanned_fiber_rows():
-    # schur claims two degrees of freedom but has no bulk completion, so it
-    # scans |U||S_1| = 30 * 98 rows: over a guard of 2000 though |U|^2 = 900
-    sys = SchurSystem(101)
+    # on polyap |S_1| = 5 is far below |U| - 1, so tuples_within scans the
+    # |U||S_1| = 30 * 5 fiber rows, not the |U|^2 = 900 pairs
+    sys = PolyAPSystem(101, 3, 2)
     U = range(1, 31)
-    assert sys.fiber_size(1) == 98
-    with pytest.raises(ValueError, match=r"scans at least 2058 fiber rows "
-                                         r".*\|U\| = 30.*guard 2000"):
-        tuples_within(sys, U, guard=2000)
-    assert len(tuples_within(sys, U, guard=30 * 98)) == len(
+    assert sys.fiber_size(1) == 5 and not sys.by_pairs(30)
+    with pytest.raises(ValueError, match=r"scans 150 fiber rows "
+                                         r".*\|U\| = 30.*guard 149"):
+        tuples_within(sys, U, guard=149)
+    assert len(tuples_within(sys, U, guard=30 * 5)) == len(
         tuples_within(sys, U))
 
 
@@ -353,15 +355,13 @@ def test_tuples_within_guard_counts_copies_found():
         tuples_within(sys, U, guard=1)
     everything = tuples_within(sys, U)
     assert len(everything) == 1680
-    assert tuples_within(sys, U, guard=1680) == everything
+    assert tuples_within(sys, U, guard=1680).tolist() == everything.tolist()
     with pytest.raises(ValueError, match="guard 1679"):
         tuples_within(sys, U, guard=1679)
 
 
 class FiberOnlyAP(SequenceSystem):
-    """An ap system seen only through its fibers (no bulk completion)."""
-
-    claims_two_dof = True
+    """An ap system seen only through its fibers (no pair completion)."""
 
     def __init__(self, inner):
         super().__init__(inner.ground, inner.k)
@@ -377,8 +377,8 @@ def test_tuples_within_fiber_path_matches_bulk_path():
         sys = APSystem(n, k, allow_d0=True)
         for seed, p in [(0, 0.4), (1, 0.8), (2, 1.0)]:
             U = sample_subset(sys.ground, p, seed)
-            assert sorted(tuples_within(FiberOnlyAP(sys), U)) == \
-                sorted(tuples_within(sys, U))
+            assert sorted(tuples_within(FiberOnlyAP(sys), U).tolist()) == \
+                sorted(tuples_within(sys, U).tolist())
 
 
 ADVERSARY_SYSTEMS = [({"kind": "ap", "n": 101, "k": 3}, 0.3),

@@ -61,10 +61,10 @@ def test_schur_matches_bruteforce():
     assert any("n-2" in note for note in sys.notes)
 
 
-@pytest.mark.parametrize("n", [5, 7, 11, 101])
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 11, 12, 15, 30, 101])
 def test_schur_size_is_cached_closed_form(n):
-    sys = SchurSystem(n)
-    assert sys.size == (n - 1) * (n - 3)
+    sys = SchurSystem(n, require_prime=False)
+    assert sys.size == ((n - 2) ** 2 if n % 2 == 0 else (n - 1) * (n - 3))
     assert sys.size == len(brute_schur_triples(n))
     assert "size" in vars(sys)  # computed once, then read from the instance
 
@@ -219,6 +219,14 @@ def test_ap_pair_profile_sampled():
 
 # --- completions (hypothesis) ---------------------------------------------
 
+def _complete_one(sys, i, j, a, b):
+    """complete_pairs on one pair: the tuple reduced mod |X|, or None."""
+    cols, valid = sys.complete_pairs(i, j, np.array([a]), np.array([b]))
+    if not valid[0]:
+        return None
+    return tuple(int(c[0]) % sys.ground.size for c in cols)
+
+
 @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
 @settings(max_examples=60, deadline=None)
 def test_ap_complete_pair_agrees_with_fiber(xseed, dseed):
@@ -228,7 +236,7 @@ def test_ap_complete_pair_agrees_with_fiber(xseed, dseed):
     s = tuple((x + (h - 1) * d) % 13 for h in range(1, 5))
     for i in range(1, 5):
         for j in range(i + 1, 5):
-            assert sys.complete_pair(i, j, s[i - 1], s[j - 1]) == s
+            assert _complete_one(sys, i, j, s[i - 1], s[j - 1]) == s
 
 
 @given(st.integers(0, 10 ** 6))
@@ -240,7 +248,7 @@ def test_schur_complete_pair_roundtrip(seed):
     row = sys.fiber_matrix(1, x)
     s = tuple(int(v) for v in row[rng.integers(0, row.shape[0])])
     for i, j in [(1, 2), (1, 3), (2, 3)]:
-        assert sys.complete_pair(i, j, s[i - 1], s[j - 1]) == s
+        assert _complete_one(sys, i, j, s[i - 1], s[j - 1]) == s
 
 
 # --- constructors, descriptors, guards ------------------------------------
