@@ -337,10 +337,11 @@ def _support_count(sys, f, supp):
         prod = np.einsum("i,j->ij", vals[lo:lo + valid.shape[0]], vals)
         for c in cols[2:]:
             prod *= np.take(arr, c, mode="wrap")
-        # the valid products are summed in runs of equal length, a's row
-        # when they divide evenly, and the run sums are added in order (no
-        # compensated sum()).  On ap every a keeps |U| - 1 pairs (|U| with
-        # allow_d0), so the rounding is that of one completion call per a
+        # per-row sums exist for ap alone: there every a keeps |U| - 1 pairs
+        # (|U| with allow_d0), so the kept products divide into a's rows and
+        # the rounding is that of one completion call per a.  Elsewhere the
+        # divisibility is a cheap stand-in that can hold by coincidence; the
+        # split then moves only the last bits of an exact count
         prod = prod[valid]
         rows = valid.shape[0] if prod.size % valid.shape[0] == 0 else 1
         for s in prod.reshape(rows, -1).sum(axis=1).tolist():

@@ -125,10 +125,6 @@ def supersaturation_count(G: HostGraph, K: PatternHypergraph) -> int:
 
 # --- minimum counts over subsets and colourings ---------------------------
 
-def _tuple_list(sys, guard=EXHAUSTIVE_GUARD):
-    return [tuple(int(v) for v in s) for s in sys.tuples(guard=guard)]
-
-
 def varnavides_count(sys: SequenceSystem, rho, guard=EXHAUSTIVE_GUARD,
                      node_budget=None):
     """Minimum number of tuples fully inside B, over all B with
@@ -143,20 +139,16 @@ def varnavides_count(sys: SequenceSystem, rho, guard=EXHAUSTIVE_GUARD,
         return 0, []
     if m > X:
         raise ValueError("density above 1")
-    tuples_ = _tuple_list(sys)
-    masks = []
-    for s in tuples_:
-        bits = 0
-        for v in s:
-            bits |= 1 << v
-        masks.append(bits)
+    masks = [sum(1 << int(v) for v in set(s))
+             for s in sys.tuples(guard=EXHAUSTIVE_GUARD)]
+
+    def forced_count(chosen_bits):
+        return sum(1 for mk in masks if mk & chosen_bits == mk)
+
     if math.comb(X, m) <= guard:
         best, witness = None, None
         for B in itertools.combinations(range(X), m):
-            bbits = 0
-            for v in B:
-                bbits |= 1 << v
-            cnt = sum(1 for mk in masks if mk & bbits == mk)
+            cnt = forced_count(sum(1 << v for v in B))
             if best is None or cnt < best:
                 best, witness = cnt, list(B)
                 if best == 0:
@@ -169,9 +161,6 @@ def varnavides_count(sys: SequenceSystem, rho, guard=EXHAUSTIVE_GUARD,
     # branch and bound over include/exclude element decisions
     best = [len(masks) + 1, None]
     nodes = [0]
-
-    def forced_count(chosen_bits):
-        return sum(1 for mk in masks if mk & chosen_bits == mk)
 
     def walk(x, chosen, chosen_bits):
         nodes[0] += 1
@@ -360,8 +349,8 @@ def tuples_within(sys: SequenceSystem, U, guard=10 ** 7):
     (sys.fiber_blocks, fiber order), whichever sys.by_pairs prices cheaper.
     Copy systems keep the injections whose edge images all lie in U (U as
     the host of systems.injections), lexicographic in the vertex map.  The
-    guard bounds the work up front, |U|^2 completions or |U| |S_1| fiber
-    rows, and for copies the tuples found.
+    guard bounds the work: |U|^2 completions (up front), the fiber rows
+    scanned, or for copies the tuples found.
     """
     U = np.sort(np.asarray(U, dtype=np.int64).reshape(-1))
     if isinstance(sys, CopySystem):
@@ -381,15 +370,7 @@ def tuples_within(sys: SequenceSystem, U, guard=10 ** 7):
                 f"(|U|^2), over the guard {guard}")
         blocks = ((cols, valid) for _, cols, valid in sys.pair_blocks(U))
     else:
-        work = U.size * sys.fiber_size(1)
-        if work > guard:
-            raise ValueError(
-                f"support enumeration scans {work} fiber rows (|U||S_1|, "
-                f"|U| = {U.size}), over the guard {guard}")
-        # position 1 of every row of the fiber S_1(a) is a itself
-        blocks = (([np.repeat(U[lo:lo + cnt.size], cnt).reshape(
-            cols[0].shape)] + cols, True)
-            for lo, cols, cnt in sys.fiber_blocks(1, U))
+        blocks = _fiber_rows(sys, U, guard)
     X = sys.ground.size
     inside = np.zeros(X, dtype=bool)
     inside[U] = True
@@ -401,6 +382,20 @@ def tuples_within(sys: SequenceSystem, U, guard=10 ** 7):
                         axis=1) % X
         out.append(rows[rows[:, 0] != rows[:, 1]])
     return np.concatenate(out)
+
+
+def _fiber_rows(sys, U, guard):
+    """Yield (cols, True) per block of the fibers S_1(a), a in U, with a
+    itself as position 1, raising once the rows scanned pass the guard."""
+    scanned = 0
+    for lo, cols, cnt in sys.fiber_blocks(1, U):
+        scanned += int(cnt.sum())
+        if scanned > guard:
+            raise ValueError(
+                f"support enumeration scans at least {scanned} fiber rows "
+                f"(|U| = {U.size}), over the guard {guard}")
+        first = np.repeat(U[lo:lo + cnt.size], cnt).reshape(cols[0].shape)
+        yield [first] + cols, True
 
 
 @dataclass

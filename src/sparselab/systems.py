@@ -243,13 +243,24 @@ class SequenceSystem:
         to a, b, each entry congruent mod |X| to the element index (left
         unreduced where that is cheaper: read them with np.take(mode="wrap")),
         and valid marks the pairs that complete to a tuple of S.  Only systems
-        claiming two degrees of freedom complete pairs."""
-        raise ValueError(f"{self.kind} system does not support pair completion")
+        claiming two degrees of freedom complete pairs, each kind in
+        _complete(i, j, a, b) with a, b int64 arrays and i != j."""
+        if not self.claims_two_dof:
+            raise ValueError(
+                f"{self.kind} system does not support pair completion")
+        if i == j:
+            raise ValueError("positions must differ")
+        return self._complete(i, j, np.asarray(a, dtype=np.int64),
+                              np.asarray(b, dtype=np.int64))
+
+    def pairs_fix(self, i, j):
+        """Whether positions i, j fix the rest of every tuple of S."""
+        return self.claims_two_dof
 
     def by_pairs(self, m):
         """Whether m support points cost no more to scan by completing their
         m(m-1) ordered pairs than by gathering their m |S_1| fiber rows."""
-        return self.claims_two_dof and m - 1 <= self.fiber_size(1)
+        return self.pairs_fix(1, 2) and m - 1 <= self.fiber_size(1)
 
     def pair_blocks(self, U):
         """Yield (lo, cols, valid): complete_pairs(1, 2, a, b) for a block of
@@ -263,7 +274,7 @@ class SequenceSystem:
 
     def pair_intersection(self, x, y):
         """Tuples in S_1(x) n S_k(y), as a (m, k) array."""
-        if self.claims_two_dof:
+        if self.pairs_fix(1, self.k):
             cols, valid = self.complete_pairs(1, self.k, np.array([x]),
                                               np.array([y]))
             return np.stack(cols, axis=1)[valid] % self.ground.size
@@ -323,14 +334,11 @@ class _Progressions(SequenceSystem):
         return ([xs + b for b in self._bases[j]],
                 np.full(xs.shape[0], len(self._gaps), dtype=np.int64))
 
-    def complete_pairs(self, i, j, a, b):
+    def _complete(self, i, j, a, b):
         """Column h is a + (h-i) g, g = (b-a)/(j-i) mod n the gap, written
         c b - (c-1) a with c = (h-i)/(j-i) in (-n/2, n/2] and left unreduced
         (within k n of 0 on positions 1, 2).  No pair is valid when j - i is
         not invertible mod n."""
-        if i == j:
-            raise ValueError("positions must differ")
-        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         n = self.n
         try:
             inv = pow(j - i, -1, n)
@@ -342,6 +350,9 @@ class _Progressions(SequenceSystem):
             c -= n if 2 * c > n else 0
             cols.append(a if h == i else b if h == j else c * b - (c - 1) * a)
         return cols, self._gap_ok(a, b, inv)
+
+    def pairs_fix(self, i, j):
+        return math.gcd(j - i, self.n) == 1     # else no pair is valid
 
     def _gap_ok(self, a, b, inv):
         # the gap (b-a) inv against a membership mask, each term reduced first
@@ -413,10 +424,7 @@ class IntervalAPSystem(SequenceSystem):
         d = d[(x - (j - 1) * d >= 0) & (x + (self.k - j) * d < self.n)]
         return x + np.outer(d, np.arange(1, self.k + 1, dtype=np.int64) - j)
 
-    def complete_pairs(self, i, j, a, b):
-        if i == j:
-            raise ValueError("positions must differ")
-        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    def _complete(self, i, j, a, b):
         step, rem = np.divmod(b - a, j - i)
         first = a - (i - 1) * step
         last = first + (self.k - 1) * step
@@ -472,18 +480,16 @@ class HomothetySystem(SequenceSystem):
         self.n, self.r = n, r
         self.points = pts
         self._P = np.array(pts, dtype=np.int64)  # (k, r)
-        dvals = []
-        for d in range(1, n):
-            degenerate = any(
-                all((d * (self._P[i, t] - self._P[j, t])) % n == 0 for t in range(r))
-                for i in range(self.k) for j in range(i + 1, self.k))
-            if not degenerate:
-                dvals.append(d)
-        if not dvals:
+        # d is degenerate when it maps some P_i - P_j (i < j) to 0 mod n
+        i, j = np.triu_indices(self.k, 1)
+        d = np.arange(1, n, dtype=np.int64)
+        rel = d[:, None, None] * (self._P[i] - self._P[j]) % n
+        self._dvals = d[~np.any(np.all(rel == 0, axis=-1), axis=1)]
+        if not self._dvals.size:
             raise ValueError("every dilation is degenerate for this point set")
         self.gamma = Fraction(1, r)
-        self._dvals = np.array(dvals, dtype=np.int64)
         self._radix = np.array([n ** t for t in range(r)], dtype=np.int64)
+        self._codes = {}
 
     @property
     def size(self):
@@ -499,28 +505,33 @@ class HomothetySystem(SequenceSystem):
         coords = (base[None, None, :] + self._dvals[:, None, None] * rel[None, :, :]) % self.n
         return self._encode(coords)
 
-    def complete_pairs(self, i, j, a, b):
-        """The dilation d is read off one coordinate t where P_i and P_j
-        differ, d = (b - a)_t / (P_j - P_i)_t mod n, then checked on every
-        coordinate and against the admissible dilations."""
-        if i == j:
-            raise ValueError("positions must differ")
-        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    def _dilations(self, i, j):
+        """(codes, ds): admissible ds stably sorted by code of d (P_j - P_i)."""
+        if (i, j) not in self._codes:
+            codes = self._encode(self._dvals[:, None]
+                                 * (self._P[j - 1] - self._P[i - 1]) % self.n)
+            order = np.argsort(codes, kind="stable")
+            self._codes[i, j] = codes[order], self._dvals[order]
+        return self._codes[i, j]
+
+    def pairs_fix(self, i, j):
+        # over composite n two admissible dilations can agree on P_j - P_i;
+        # a pair then lies in several tuples, and counts scan the fibers
+        codes, _ = self._dilations(i, j)
+        return bool(np.all(codes[1:] != codes[:-1]))
+
+    def _complete(self, i, j, a, b):
+        """The dilation d is the one whose code d (P_j - P_i) mod n is that
+        of b - a; where several share it (see pairs_fix) the least is taken."""
         n = self.n
         xa = a[..., None] // self._radix % n                  # (..., r)
-        diff = (b[..., None] // self._radix - xa) % n
-        rel = (self._P[j - 1] - self._P[i - 1]) % n
-        t = int(np.flatnonzero(rel)[0])
-        try:
-            inv = pow(int(rel[t]), -1, n)
-        except ValueError:
-            return [a] * self.k, np.zeros(np.broadcast(a, b).shape, dtype=bool)
-        d = diff[..., t] * inv % n
-        admissible = np.zeros(n, dtype=bool)
-        admissible[self._dvals] = True
-        valid = admissible[d] & np.all(d[..., None] * rel % n == diff, axis=-1)
+        code = self._encode((b[..., None] // self._radix - xa) % n)
+        codes, ds = self._dilations(i, j)
+        at = np.minimum(np.searchsorted(codes, code), codes.size - 1)
+        d = ds[at]
         offs = self._P - self._P[i - 1]
-        return [self._encode((xa + d[..., None] * o) % n) for o in offs], valid
+        return ([self._encode((xa + d[..., None] * o) % n) for o in offs],
+                codes[at] == code)
 
     def descriptor(self):
         return {"kind": "homothety", "n": self.n, "r": self.r,
@@ -531,9 +542,7 @@ class SchurSystem(SequenceSystem):
     """Triples (x, y, x+y) over Z_n with 0 removed, entries pairwise distinct.
 
     Ground elements are the residues 1..n-1; element index = residue - 1.
-    The measured fiber size is n-3 for odd prime n (excluding y in {a, -a});
-    conventions that allow x = y would report n-2 instead -- the measured
-    value is what all checks use.
+    The fiber size is measured (n-3 at odd prime n; see self.notes).
     """
 
     kind = "schur"
@@ -560,12 +569,10 @@ class SchurSystem(SequenceSystem):
     def _residue_rows(self, j, res):
         n = self.n
         others = np.arange(1, n, dtype=np.int64)
-        if j == 1:
-            y = others[(others != res) & (others != (n - res) % n)]
-            return np.stack([np.full_like(y, res), y, (res + y) % n], axis=1)
-        if j == 2:
-            x = others[(others != res) & (others != (n - res) % n)]
-            return np.stack([x, np.full_like(x, res), (x + res) % n], axis=1)
+        if j < 3:   # the other of x, y runs over all but res and -res
+            v = others[(others != res) & (others != (n - res) % n)]
+            xy = [np.full_like(v, res), v][::3 - 2 * j]
+            return np.stack(xy + [(res + v) % n], axis=1)
         half = (res * pow(2, -1, n)) % n
         x = others[(others != res) & (others != half)]
         y = (res - x) % n
@@ -575,11 +582,8 @@ class SchurSystem(SequenceSystem):
     def fiber_matrix(self, j, x):
         return self._residue_rows(j, x + 1) - 1  # residues -> indices
 
-    def complete_pairs(self, i, j, a, b):
-        if i == j:
-            raise ValueError("positions must differ")
-        r = {i: np.asarray(a, dtype=np.int64) + 1,
-             j: np.asarray(b, dtype=np.int64) + 1}      # residues
+    def _complete(self, i, j, a, b):
+        r = {i: a + 1, j: b + 1}                          # residues
         m = 6 - i - j                                      # the third position
         r[m] = (r[1] + r[2] if m == 3 else r[3] - r[3 - m]) % self.n
         x, y, z = r[1], r[2], r[3]

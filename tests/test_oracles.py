@@ -24,9 +24,9 @@ from sparselab.oracles import (
     varnavides_count,
 )
 from sparselab.sample import derive_seed, sample_subset
-from sparselab.systems import (APSystem, CopySystem, PatternHypergraph,
-                               PolyAPSystem, SchurSystem, SequenceSystem,
-                               build_system)
+from sparselab.systems import (APSystem, CopySystem, IntervalAPSystem,
+                               PatternHypergraph, PolyAPSystem, SchurSystem,
+                               SequenceSystem, build_system)
 
 from bruteforce import (brute_aps, ref_free_subset, ref_min_mono_exhaustive,
                         ref_min_mono_local_search, ref_tuples_within_pairs)
@@ -339,11 +339,23 @@ def test_tuples_within_guard_counts_scanned_fiber_rows():
     sys = PolyAPSystem(101, 3, 2)
     U = range(1, 31)
     assert sys.fiber_size(1) == 5 and not sys.by_pairs(30)
-    with pytest.raises(ValueError, match=r"scans 150 fiber rows "
+    with pytest.raises(ValueError, match=r"scans at least 150 fiber rows "
                                          r".*\|U\| = 30.*guard 149"):
         tuples_within(sys, U, guard=149)
     assert len(tuples_within(sys, U, guard=30 * 5)) == len(
         tuples_within(sys, U))
+
+
+def test_tuples_within_guard_counts_rows_of_unequal_fibers():
+    # interval-ap fibers shrink towards n - 1: U = X scans sum_x
+    # floor((60 - x) / 2) = 900 rows, not |U| times the largest fiber, 1830
+    sys = IntervalAPSystem(61, 3)
+    assert sys.fiber_size(1) == 30 and not sys.by_pairs(61)
+    with pytest.raises(ValueError, match=r"scans at least 900 fiber rows "
+                                         r".*\|U\| = 61.*guard 899"):
+        tuples_within(sys, range(61), guard=899)
+    assert len(tuples_within(sys, range(61), guard=900)) == len(
+        tuples_within(sys, range(61)))
 
 
 def test_tuples_within_guard_counts_copies_found():

@@ -16,9 +16,9 @@ import pytest
 from sparselab.conv import count_functional
 from sparselab.core import WeightFunction
 from sparselab.oracles import tuples_within
-from sparselab.systems import HomothetySystem
+from sparselab.systems import APSystem, HomothetySystem
 
-from bruteforce import brute_count, brute_homothets
+from bruteforce import brute_aps, brute_count, brute_homothets
 from test_conv_engine import KINDS
 
 TWO_DOF = ["ap", "ap-d0", "interval-ap", "polyap", "homothety", "schur"]
@@ -68,26 +68,25 @@ def test_homothety_completion_skips_degenerate_dilations():
 
 
 def _supports(sys):
-    """(|U|, takes pairs) on both sides of by_pairs' switch, and U = X."""
+    """Support sizes on both sides of by_pairs' switch, and U = X."""
     X, S1 = sys.ground.size, sys.fiber_size(1)
-    sizes = sorted({2, S1 + 1, S1 + 2, X} & set(range(1, X + 1)))
-    return [(m, m - 1 <= S1) for m in sizes]
+    return sorted({2, S1 + 1, S1 + 2, X} & set(range(1, X + 1)))
 
 
-@pytest.mark.parametrize("name", TWO_DOF)
-def test_support_count_and_tuples_within_on_both_paths(name):
-    sys, tuples_ = _system(name)
+def _check_both_paths(sys, tuples_, sizes):
+    """count_functional(mode="support") and tuples_within (as a set) against
+    brute force at random supports of each size, with the path by_pairs does
+    not pick patched to fail; returns the set of by_pairs values met."""
     X = sys.ground.size
     rng = np.random.default_rng(len(tuples_))
     seen = set()
-    for m, pairs in _supports(sys):
+    for m in sizes:
+        pairs = sys.by_pairs(m)
         seen.add(pairs)
-        assert sys.by_pairs(m) == pairs
         U = np.sort(rng.choice(X, size=m, replace=False))
         vals = np.zeros(X)
         vals[U] = rng.uniform(0.1, 3.0, size=m)
         f = WeightFunction(sys.ground, values=vals)
-        # the path not priced cheaper must not run
         other = "fiber_blocks" if pairs else "complete_pairs"
         with mock.patch.object(sys, other, side_effect=AssertionError(other)):
             count = count_functional(sys, f, mode="support")
@@ -98,5 +97,65 @@ def test_support_count_and_tuples_within_on_both_paths(name):
         want = {s for s in tuples_ if s[0] != s[1] and set(s) <= inside}
         assert within.shape == (len(want), sys.k) and within.dtype == np.int64
         assert set(map(tuple, within.tolist())) == want
+    return seen
+
+
+@pytest.mark.parametrize("name", TWO_DOF)
+def test_support_count_and_tuples_within_on_both_paths(name):
+    sys, tuples_ = _system(name)
+    sizes = _supports(sys)
+    assert [sys.by_pairs(m) for m in sizes] == [
+        m - 1 <= sys.fiber_size(1) for m in sizes]
     # ap takes pairs even at U = X; the other kinds meet both paths
-    assert seen == ({True} if name.startswith("ap") else {True, False})
+    assert _check_both_paths(sys, tuples_, sizes) == (
+        {True} if name.startswith("ap") else {True, False})
+
+
+# over Z_15 a coordinate of P_j - P_i can have no inverse.  In the first set
+# P_2 - P_1 = (3, 1) still fixes d through its second coordinate; in the
+# second, (3, 0) maps d and d + 5 alike, so positions 1, 2 fix no tuple; in
+# the third, positions 1, k fix none
+COMPOSITE = [[(0, 0), (3, 1), (1, 0)], [(0, 0), (3, 0), (1, 0)],
+             [(0, 0), (1, 0), (3, 0)]]
+
+
+@pytest.mark.parametrize("pts", COMPOSITE)
+def test_homothety_over_composite_n(pts):
+    sys = HomothetySystem(15, 2, pts, require_prime=False)
+    X = sys.ground.size
+    index = {sys.ground.element(i): i for i in range(X)}
+    tuples_ = [tuple(index[e] for e in s) for s in brute_homothets(15, 2, pts)]
+    for i, j in itertools.permutations(range(1, 4), 2):
+        through = {}
+        for s in tuples_:
+            through.setdefault((s[i - 1], s[j - 1]), set()).add(s)
+        assert sys.pairs_fix(i, j) == all(
+            len(ts) == 1 for ts in through.values())
+        # valid marks the pairs in some tuple, and cols give one of them
+        cols, valid = sys.complete_pairs(i, j, np.arange(X)[:, None],
+                                         np.arange(X))
+        assert {(int(x), int(y)) for x, y in zip(*np.nonzero(valid))} == \
+            set(through)
+        got = np.stack([np.broadcast_to(c, (X, X)) for c in cols], axis=-1)
+        for (x, y), ts in through.items():
+            assert tuple((got[x, y] % X).tolist()) in ts
+    ends = {}
+    for s in tuples_:
+        ends.setdefault((s[0], s[-1]), []).append(s)
+    for x, y in itertools.product(range(0, X, 16), range(X)):
+        assert sorted(map(tuple, sys.pair_intersection(x, y).tolist())) == \
+            sorted(ends.get((x, y), []))
+    seen = _check_both_paths(sys, tuples_, [2, 15, 16, 60])
+    assert seen == ({True, False} if sys.pairs_fix(1, 2) else {False})
+
+
+def test_ap_pair_intersection_where_positions_fix_no_tuple():
+    # over Z_20, gaps d and d + 10 agree at positions 1 and 3
+    sys = APSystem(20, 3, require_prime=False)
+    assert sys.pairs_fix(1, 2) and not sys.pairs_fix(1, 3)
+    ends = {}
+    for s in brute_aps(20, 3):
+        ends.setdefault((s[0], s[-1]), []).append(s)
+    for x, y in itertools.product(range(20), repeat=2):
+        assert sorted(map(tuple, sys.pair_intersection(x, y).tolist())) == \
+            sorted(ends.get((x, y), []))
